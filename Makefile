@@ -10,7 +10,9 @@ GO ?= go
 # hot-path observability recorders (attribution + time series) whose
 # outputs the CI byte-identity gates cmp, and the sharded orchestrator
 # (ROADMAP item 2): its run/merge entry points and the obs shard
-# merges, which the shard-equivalence CI job cmps byte-for-byte.
+# merges, which the shard-equivalence CI job cmps byte-for-byte. CI
+# renders the certificate through lint-certify, so this is the only
+# copy of the list.
 CERT_ROOTS = internal/sim.Run,internal/runner.Map,internal/sim.(*eventHeap).push,internal/sim.(*eventHeap).pop,internal/sim.(*calendarQueue).push,internal/sim.(*calendarQueue).pop,internal/obs.(*AttrRecorder).Event,internal/obs.(*SeriesRecorder).Event,internal/shard.Run,internal/shard.RunSubs,internal/shard.Merge,internal/obs.(*AttrRecorder).Merge,internal/obs.MergeSeries,internal/obs.MergeShardTraces
 
 build:

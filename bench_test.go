@@ -367,7 +367,7 @@ func BenchmarkEngineThroughput(b *testing.B) {
 		{"64/1x64x64 OMEGA/1 rho=0.8", "64/1x64x64 OMEGA/1", 0.8, 64, 64, ""},
 		{"128/1x128x128 XBAR/1 rho=0.8", "128/1x128x128 XBAR/1", 0.8, 128, 128, ""},
 		// Large-p points: the calendar-queue + SoA kernel's target regime
-		// (EventQueueAuto selects the calendar at these sizes). Omega
+		// (Run selects the calendar queue at these sizes). Omega
 		// networks cap at 64×64, so the large omega rows are partitioned
 		// clusters of 64-wide subnetworks.
 		{"1024/1x1024x1024 XBAR/1 rho=0.8", "1024/1x1024x1024 XBAR/1", 0.8, 1024, 1024, ""},

@@ -28,12 +28,18 @@
 // process per artifact, one thread per worker — open in Perfetto),
 // -metrics writes per-artifact runner-telemetry summaries as JSON, and
 // -cpuprofile/-memprofile write pprof profiles.
+//
+// Invalid flag values and unsupported flag combinations are rejected
+// with a one-line error on stderr and exit status 1.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"runtime"
 	"sort"
@@ -70,11 +76,21 @@ func main() {
 		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
 	)
-	flag.Parse()
+	sink := obs.NewSink(os.Stderr)
+	parseFlags(sink)
 	if *check {
 		invariant.Enable(true)
 	}
-	sink := obs.NewSink(os.Stderr)
+	switch {
+	case *format != "text" && *format != "csv":
+		fatal(sink, fmt.Errorf("unknown -format %q (want text or csv)", *format))
+	case *shards < 0:
+		fatal(sink, fmt.Errorf("-shards must be non-negative (got %d)", *shards))
+	case *shards > 0 && (*attrOut != "" || *seriesOut != ""):
+		fatal(sink, fmt.Errorf("-shards is incompatible with -attr/-series: the observation hook attaches one probe per sweep cell, which has no per-sub-network form (use cmd/rsinsim -shards for merged attribution and series)"))
+	case !(*seriesDt > 0) || math.IsInf(*seriesDt, 0):
+		fatal(sink, fmt.Errorf("-series-dt must be positive and finite (got %g)", *seriesDt))
+	}
 	if *cpuProfile != "" {
 		stop, err := obs.StartCPUProfile(*cpuProfile)
 		if err != nil {
@@ -97,9 +113,6 @@ func main() {
 	q.Workers = *workers
 	q.Reps = *reps
 	q.Shards = *shards
-	if *shards > 0 && (*attrOut != "" || *seriesOut != "") {
-		fatal(sink, fmt.Errorf("-shards is incompatible with -attr/-series: the observation hook attaches one probe per sweep cell, which has no per-sub-network form (use cmd/rsinsim -shards for merged attribution and series)"))
-	}
 	var collector *obsCollector
 	if *attrOut != "" || *seriesOut != "" {
 		collector = newObsCollector(*attrOut != "", *seriesOut != "", *attrTopK, *seriesDt)
@@ -400,6 +413,24 @@ func sortedLabels[V any](m map[string]V) []string {
 func fatal(sink *obs.Sink, err error) {
 	sink.Logf("figures: %v", err)
 	os.Exit(1)
+}
+
+// parseFlags parses the command line. A bad flag is reported like every
+// other invalid invocation, on one line through fatal, instead of the
+// flag package's message followed by the whole flag list; -h still
+// prints the list.
+func parseFlags(sink *obs.Sink) {
+	flag.CommandLine.Init("figures", flag.ContinueOnError)
+	flag.CommandLine.SetOutput(io.Discard)
+	err := flag.CommandLine.Parse(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		flag.CommandLine.SetOutput(os.Stderr)
+		flag.Usage()
+		os.Exit(0)
+	}
+	if err != nil {
+		fatal(sink, err)
+	}
 }
 
 // writeJSONFile creates path and hands it to write, closing cleanly.

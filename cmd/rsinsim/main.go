@@ -45,16 +45,15 @@
 // for any -workers value, exactly like stdout. Inspect the attr and
 // series files with cmd/rsintrace.
 //
-// -queue selects the kernel's pending-event structure (auto, heap, or
-// calendar; auto picks the calendar queue for p ≥ 64). The choice is
-// pure performance: all three settings produce byte-identical output —
-// the equivalence the kernel differential tests and the CI
-// kernel-differential job pin.
+// Invalid flag values and unsupported flag combinations are rejected
+// with a one-line error on stderr and exit status 1.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"time"
@@ -84,7 +83,6 @@ func main() {
 		shards   = flag.Int("shards", 0, "run the independent sub-networks as a sharded simulation batched into this many jobs, merged deterministically (0 = classic single event loop; output is byte-identical for any positive value)")
 		analytic = flag.Bool("analytic", false, "use the exact Markov analysis (SBUS configurations only)")
 		check    = flag.Bool("check", false, "enable runtime model-invariant checks (see internal/invariant)")
-		queue    = flag.String("queue", "auto", "pending-event structure: auto, heap, or calendar (auto picks the calendar for p ≥ 64; all three produce byte-identical output)")
 
 		traceOut   = flag.String("trace", "", "write a Chrome trace_event JSON of the simulated lifecycle to this file (open in Perfetto; byte-identical for any -workers value)")
 		metricsOut = flag.String("metrics", "", "write per-replication metrics snapshots (counters, time-weighted gauges, delay histograms) as JSON to this file")
@@ -95,13 +93,12 @@ func main() {
 		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
 	)
-	flag.Parse()
+	parseFlags()
 	if *check {
 		invariant.Enable(true)
 	}
-	queueKind, err := sim.ParseEventQueue(*queue)
-	if err != nil {
-		fatal(err)
+	if !(*seriesDt > 0) || math.IsInf(*seriesDt, 0) {
+		fatal(fmt.Errorf("-series-dt must be positive and finite (got %g)", *seriesDt))
 	}
 	if *cpuProfile != "" {
 		stop, err := obs.StartCPUProfile(*cpuProfile)
@@ -197,7 +194,7 @@ func main() {
 				Sim: sim.Config{
 					Lambda: lam, MuN: muN, MuS: muS,
 					Seed:   runner.DeriveSeed(*seed, 0, r),
-					Warmup: *warmup, Samples: *samples, EventQueue: queueKind,
+					Warmup: *warmup, Samples: *samples,
 				},
 				Shards:  *shards,
 				Workers: *workers,
@@ -306,7 +303,7 @@ func main() {
 			res, err := sim.Run(net, sim.Config{
 				Lambda: lam, MuN: muN, MuS: muS,
 				Seed: runner.DeriveSeed(*seed, 0, 2*r), Warmup: *warmup, Samples: *samples,
-				Probe: probe, EventQueue: queueKind,
+				Probe: probe,
 			})
 			return repOut{res: res, err: err}
 		})
@@ -393,6 +390,24 @@ func main() {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "rsinsim:", err)
 	os.Exit(1)
+}
+
+// parseFlags parses the command line. A bad flag is reported like every
+// other invalid invocation, on one line through fatal, instead of the
+// flag package's message followed by the whole flag list; -h still
+// prints the list.
+func parseFlags() {
+	flag.CommandLine.Init("rsinsim", flag.ContinueOnError)
+	flag.CommandLine.SetOutput(io.Discard)
+	err := flag.CommandLine.Parse(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		flag.CommandLine.SetOutput(os.Stderr)
+		flag.Usage()
+		os.Exit(0)
+	}
+	if err != nil {
+		fatal(err)
+	}
 }
 
 // writeTraceFile merges the per-replication traces (replication r is

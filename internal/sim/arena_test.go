@@ -188,16 +188,15 @@ func TestHotStructuresZeroAlloc(t *testing.T) {
 func TestRunSteadyStateZeroAlloc(t *testing.T) {
 	invariant.Enable(false)
 	defer invariant.Enable(true)
-	mallocs := func(mk func() core.Network, kind EventQueueKind, samples int) uint64 {
+	mallocs := func(mk func() core.Network, mkQueue func() eventQueue, samples int) uint64 {
 		cfg := Config{
 			Lambda: 0.2, MuN: 2, MuS: 1,
 			Seed: 5, Warmup: 100, Samples: samples,
-			EventQueue: kind,
 		}
 		runtime.GC()
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
-		if _, err := Run(mk(), cfg); err != nil {
+		if _, err := run(mk(), cfg, mkQueue()); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&m1)
@@ -215,12 +214,16 @@ func TestRunSteadyStateZeroAlloc(t *testing.T) {
 			return core.NewPartitioned(subs)
 		},
 	}
+	queues := map[string]func() eventQueue{
+		"heap":     func() eventQueue { return &eventHeap{} },
+		"calendar": func() eventQueue { return newCalendarQueue() },
+	}
 	for name, mk := range nets {
-		for _, kind := range []EventQueueKind{EventQueueHeap, EventQueueCalendar} {
-			t.Run(name+"/"+kind.String(), func(t *testing.T) {
+		for kind, mkQueue := range queues {
+			t.Run(name+"/"+kind, func(t *testing.T) {
 				const n = 20000
-				base := mallocs(mk, kind, n)
-				big := mallocs(mk, kind, 3*n)
+				base := mallocs(mk, mkQueue, n)
+				big := mallocs(mk, mkQueue, 3*n)
 				// Slack absorbs runtime-internal allocations (GC metadata,
 				// timer wheels); a single alloc per event would show up as
 				// tens of thousands.

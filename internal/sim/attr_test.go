@@ -88,10 +88,9 @@ func TestCompleteEventsReconcileExactly(t *testing.T) {
 // TestAttrAndSeriesBytesIdenticalAcrossKernels proves the new
 // recorders inherit the engine's kernel-independence: the heap and the
 // calendar queue must produce byte-identical attribution and series
-// documents at a p large enough that EventQueueAuto would pick the
-// calendar.
+// documents at a p large enough that Run picks the calendar.
 func TestAttrAndSeriesBytesIdenticalAcrossKernels(t *testing.T) {
-	run := func(kind EventQueueKind) ([]byte, []byte) {
+	render := func(q eventQueue) ([]byte, []byte) {
 		const p = 128
 		subs := make([]core.Network, 2)
 		for i := range subs {
@@ -102,10 +101,9 @@ func TestAttrAndSeriesBytesIdenticalAcrossKernels(t *testing.T) {
 		cfg := Config{
 			Lambda: 0.3, MuN: 2, MuS: 1, Seed: 42,
 			Warmup: 40, Samples: 2500,
-			Probe:      obs.Multi(attr, series),
-			EventQueue: kind,
+			Probe: obs.Multi(attr, series),
 		}
-		res, err := Run(core.NewPartitioned(subs), cfg)
+		res, err := run(core.NewPartitioned(subs), cfg, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,8 +116,8 @@ func TestAttrAndSeriesBytesIdenticalAcrossKernels(t *testing.T) {
 		}
 		return ab.Bytes(), sb.Bytes()
 	}
-	heapAttr, heapSeries := run(EventQueueHeap)
-	calAttr, calSeries := run(EventQueueCalendar)
+	heapAttr, heapSeries := render(&eventHeap{})
+	calAttr, calSeries := render(newCalendarQueue())
 	if !bytes.Equal(heapAttr, calAttr) {
 		t.Error("attribution reports differ between heap and calendar kernels")
 	}

@@ -20,11 +20,11 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden trace under te
 
 // goldenTracePath is the committed event trace (gzipped; traces are
 // highly repetitive text) of a p=256 partitioned omega run. p ≥
-// calendarAutoP, so EventQueueAuto routes this through the calendar
-// queue: the file pins the full observable event stream — every
-// attempt, reject, grant, and completion with timestamps — of the
-// large-p code path (SoA state, arena, calendar queue, partition hint
-// delegation) against accidental drift between commits. The kernel
+// calendarAutoP, so Run routes this through the calendar queue: the
+// file pins the full observable event stream — every attempt, reject,
+// grant, and completion with timestamps — of the large-p code path
+// (SoA state, arena, calendar queue, partition hint delegation)
+// against accidental drift between commits. The kernel
 // differential matrix proves heap/calendar/oracle agree with each other
 // within one build; this file proves today's build agrees with the
 // build that committed it. Comparison is over the uncompressed bytes,

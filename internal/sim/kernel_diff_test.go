@@ -20,8 +20,8 @@ import (
 // the same workload —
 //
 //   - runOracle: the frozen pre-refactor kernel (AoS procs, binary heap),
-//   - Run with EventQueueHeap: the SoA kernel on the binary heap,
-//   - Run with EventQueueCalendar: the SoA kernel on the calendar queue,
+//   - run on an eventHeap: the SoA kernel on the binary heap,
+//   - run on a calendarQueue: the SoA kernel on the calendar queue,
 //
 // and requires the rendered Result (every metric, telemetry counter,
 // and raw delay sample) and the rendered obs trace bytes (every grant,
@@ -98,7 +98,7 @@ func kernelDiffSamples(p int, short bool) int {
 // fails the test on any Result or trace divergence.
 func runKernelDiffCell(t *testing.T, mk func() core.Network, lambda float64, samples int) {
 	t.Helper()
-	run := func(kind EventQueueKind, oracle bool) (string, []byte) {
+	render := func(kernel string) (string, []byte) {
 		tr := obs.NewTrace()
 		cfg := Config{
 			Lambda: lambda, MuN: 2, MuS: 1,
@@ -106,16 +106,18 @@ func runKernelDiffCell(t *testing.T, mk func() core.Network, lambda float64, sam
 			Samples:       samples,
 			CollectDelays: true,
 			Probe:         tr,
-			EventQueue:    kind,
 		}
 		var (
 			res Result
 			err error
 		)
-		if oracle {
-			res, err = runOracle(mk(), cfg)
-		} else {
-			res, err = Run(mk(), cfg)
+		switch kernel {
+		case "oracle":
+			res, err = runOracle(mk(), cfg, false)
+		case "heap":
+			res, err = run(mk(), cfg, &eventHeap{})
+		case "calendar":
+			res, err = run(mk(), cfg, newCalendarQueue())
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -126,16 +128,16 @@ func runKernelDiffCell(t *testing.T, mk func() core.Network, lambda float64, sam
 		}
 		return fmt.Sprintf("%+v", res), buf.Bytes()
 	}
-	wantRes, wantTrace := run(EventQueueHeap, true)
-	for _, kind := range []EventQueueKind{EventQueueHeap, EventQueueCalendar} {
-		gotRes, gotTrace := run(kind, false)
+	wantRes, wantTrace := render("oracle")
+	for _, kernel := range []string{"heap", "calendar"} {
+		gotRes, gotTrace := render(kernel)
 		if gotRes != wantRes {
-			t.Errorf("%v kernel Result diverged from oracle:\noracle %.400s\ngot    %.400s",
-				kind, wantRes, gotRes)
+			t.Errorf("%s kernel Result diverged from oracle:\noracle %.400s\ngot    %.400s",
+				kernel, wantRes, gotRes)
 		}
 		if !bytes.Equal(gotTrace, wantTrace) {
-			t.Errorf("%v kernel trace bytes diverged from oracle (%d vs %d bytes)",
-				kind, len(gotTrace), len(wantTrace))
+			t.Errorf("%s kernel trace bytes diverged from oracle (%d vs %d bytes)",
+				kernel, len(gotTrace), len(wantTrace))
 		}
 	}
 	if len(wantTrace) == 0 {

@@ -13,15 +13,16 @@ import (
 // This file freezes the pre-refactor simulation kernel — per-processor
 // structs with slice-backed FIFOs and the binary event heap — verbatim
 // as runOracle, the reference implementation for the kernel
-// differential matrix in kernel_diff_test.go. It is the same
-// discipline PR 5 used for the wake engine (Config.legacyWake, still
-// honored both here and in the production kernel): the fast path is
-// accepted only while a byte-for-byte equivalence proof against the
-// slow path it replaced keeps passing.
+// differential matrix in kernel_diff_test.go. With legacy set it also
+// runs the pre-incremental wake engine (full rescans of every processor
+// after each release, no availability hints), the oracle of the wake
+// differential tests in wake_test.go: a fast path is accepted only
+// while a byte-for-byte equivalence proof against the slow path it
+// replaced keeps passing.
 //
 // Do not modify this copy when changing sim.go; it is the oracle, and
 // drifting it would hollow out the proof. It always uses the binary
-// heap (Config.EventQueue is ignored).
+// heap.
 
 // oracleProcState is the old kernel's per-processor struct (AoS
 // layout, growable arrival-time slice).
@@ -31,8 +32,9 @@ type oracleProcState struct {
 }
 
 // runOracle is the pre-refactor sim.Run, verbatim apart from the
-// renames to oracleProcState and oracleBlockedInvariant.
-func runOracle(net core.Network, cfg Config) (res Result, err error) {
+// renames to oracleProcState and oracleBlockedInvariant and the legacy
+// wake selector, which was a Config field.
+func runOracle(net core.Network, cfg Config, legacy bool) (res Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			if verr := invariant.ClassifyPanic(r); verr != nil {
@@ -78,11 +80,11 @@ func runOracle(net core.Network, cfg Config) (res Result, err error) {
 
 	blocked := newWaiterSet(p)
 	var hinter core.AvailabilityHinter
-	if !cfg.legacyWake {
+	if !legacy {
 		hinter, _ = net.(core.AvailabilityHinter)
 	}
 	var wakeScratch []int
-	if cfg.WakePolicy == WakeRandom && !cfg.legacyWake {
+	if cfg.WakePolicy == WakeRandom && !legacy {
 		wakeScratch = make([]int, p)
 	}
 
@@ -247,7 +249,7 @@ func runOracle(net core.Network, cfg Config) (res Result, err error) {
 	}
 
 	wake := func() {
-		if cfg.legacyWake {
+		if legacy {
 			wakeLegacy()
 			return
 		}

@@ -52,7 +52,7 @@ func BenchmarkRunProbe(b *testing.B) {
 	})
 
 	// The large-p calendar-queue shape: 64 partitioned 64-port
-	// crossbars (p=4096), where EventQueueAuto picks the calendar and
+	// crossbars (p=4096), where Run picks the calendar queue and
 	// the per-event probe branch competes with a much hotter event
 	// loop. Guards the probe-on overhead story beyond the small
 	// reference system.

@@ -106,21 +106,6 @@ type Config struct {
 	// is guarded by a nil check, so an unobserved run pays one branch
 	// per event. Probes observe the full run including warmup.
 	Probe obs.Probe
-
-	// EventQueue selects the pending-event structure. The default
-	// (EventQueueAuto) uses the calendar queue at p ≥ 64 and the binary
-	// heap below; both pop events in identical (time, seq) order, so
-	// the choice never changes results — only speed. See queue.go.
-	EventQueue EventQueueKind
-
-	// legacyWake selects the pre-incremental wake engine: full rescans
-	// of every processor after each release instead of the blocked-waiter
-	// set. Unexported on purpose — it is reachable only from this
-	// package's tests, which use it as the oracle in the differential
-	// proof that the incremental engine reproduces the legacy results
-	// bit for bit. It also disables the core.AvailabilityHinter fast
-	// path, so the oracle exercises the plain Acquire protocol.
-	legacyWake bool
 }
 
 // Result carries the measured steady-state estimates of one run.
@@ -208,7 +193,13 @@ var ErrSaturated = errors.New("sim: queue exceeded MaxQueue; system appears satu
 // kernel differential matrix in kernel_diff_test.go proves the layout
 // refactor changed no observable byte: Results and obs traces are
 // identical to the retained pre-refactor kernel (runOracle).
-func Run(net core.Network, cfg Config) (res Result, err error) {
+func Run(net core.Network, cfg Config) (Result, error) {
+	return run(net, cfg, newEventQueue(net.Processors()))
+}
+
+// run is Run on a given pending-event structure; tests pass a specific
+// queue to compare the two implementations at the same p.
+func run(net core.Network, cfg Config, q eventQueue) (res Result, err error) {
 	// Invariant violations inside the network models and accumulators
 	// surface as panics (invariant.Assert, stats.ErrTimeBackwards);
 	// convert the ones we recognize into errors and re-raise the rest.
@@ -250,25 +241,46 @@ func Run(net core.Network, cfg Config) (res Result, err error) {
 	if cfg.MaxQueue <= 0 {
 		cfg.MaxQueue = 1 << 20
 	}
-	p := net.Processors()
-	src := rng.New(cfg.Seed)
-	pt := newProcTable(p, p)
-	grants := newGrantTable()
+	k := newKernel(net, cfg, rates, q)
+	if err := k.loop(); err != nil {
+		return Result{}, err
+	}
+	if invariant.Enabled() {
+		inFlight := int64(k.totalQ + k.busyPorts + k.inService)
+		if verr := invariant.Conserved("sim", k.arrivedTotal, k.servedTotal, inFlight); verr != nil {
+			return Result{}, verr
+		}
+		if out := k.grants.outstanding(); out != k.busyPorts+k.inService {
+			return Result{}, invariant.Errorf("sim",
+				"grant table leak: %d outstanding grants for %d tasks holding the network", out, k.busyPorts+k.inService)
+		}
+	}
+	return k.result(), nil
+}
+
+// kernel is the state of one run. Its methods are the event loop's
+// phases, one handler per event kind plus the allocation attempt
+// (tryStart) and the post-release retry engine (wake) they share.
+type kernel struct {
+	net       core.Network
+	cfg       Config
+	rates     []float64 // per-processor arrival rates
+	p         int       // processor count
+	src       *rng.Source
+	q         eventQueue
+	seq       uint64 // events scheduled so far: the FIFO tie-breaker
+	now       float64
+	pt        *procTable
+	grants    *grantTable
+	retryPend []bool // pid has an evRetry pending (RetryJitter)
 
 	// Incremental wake engine state. blocked tracks exactly the
 	// processors that are idle with a nonempty queue — the ones whose
 	// last allocation attempt failed and that a release could unblock.
-	// It is maintained in both engine modes (so the invariant oracle
-	// checks it everywhere) but only the incremental wake consults it.
-	blocked := newWaiterSet(p)
-	var hinter core.AvailabilityHinter
-	if !cfg.legacyWake {
-		hinter, _ = net.(core.AvailabilityHinter)
-	}
-	var wakeScratch []int
-	if cfg.WakePolicy == WakeRandom && !cfg.legacyWake {
-		wakeScratch = make([]int, p)
-	}
+	blocked     *waiterSet
+	hinter      core.AvailabilityHinter
+	wakeScratch []int // WakeRandom's permutation buffer
+	rrStart     int   // WakeRoundRobin's rotating first processor
 
 	// headSince[pid] is the simulated time pid's current head-of-queue
 	// task became eligible to transmit: the first instant the engine
@@ -276,445 +288,134 @@ func Run(net core.Network, cfg Config) (res Result, err error) {
 	// idle). It feeds the per-request latency attribution — the span
 	// arrival → headSince is queue wait behind the processor's earlier
 	// tasks, headSince → transmit start is network blocking.
-	headSince := make([]float64, p)
+	headSince []float64
 
-	var (
-		q         = newEventQueue(cfg.EventQueue, p)
-		seq       uint64
-		now       float64
-		delays    = stats.NewBatchMeans(int64(cfg.BatchSize))
-		responses = stats.NewBatchMeans(int64(cfg.BatchSize))
-		collected int
-		completed int64
-		queueLen  stats.TimeWeighted
-		busyTW    stats.TimeWeighted
-		totalQ    int
-		busyPorts int
-		warmedUp  bool
-		rrStart   int
-		retryPend = make([]bool, p)
+	delays, responses *stats.BatchMeans
+	kept              []float64 // raw post-warmup delays (Config.CollectDelays)
+	collected         int
+	completed         int64
+	queueLen, busyTW  stats.TimeWeighted
+	totalQ, busyPorts int
+	warmedUp          bool
 
-		// Full-run flow counters for the conservation invariant; unlike
-		// `completed` they are never reset at warmup.
-		arrivedTotal int64
-		servedTotal  int64
-		inService    int
-	)
-	// Steady-state zero-allocation support: the batch-means slices are
-	// the only unbounded accumulators left, so reserve their full-run
-	// capacity up front (one batch mean per BatchSize samples, plus the
-	// in-progress batch).
-	delays.Reserve(cfg.Samples/cfg.BatchSize + 1)
-	responses.Reserve(cfg.Samples/cfg.BatchSize + 1)
-	//lint:hotpath event scheduling, one call per simulated event
-	schedule := func(e event) {
-		e.seq = seq
-		seq++
-		q.push(e)
-	}
-	//lint:hotpath queue-length accumulator update
-	setQ := func(delta int) {
-		totalQ += delta
-		queueLen.Set(now, float64(totalQ))
-	}
-	//lint:hotpath busy-port accumulator update
-	setBusy := func(delta int) {
-		busyPorts += delta
-		busyTW.Set(now, float64(busyPorts))
-	}
-	queueLen.Set(0, 0)
-	busyTW.Set(0, 0)
+	// Full-run flow counters for the conservation invariant; unlike
+	// completed they are never reset at warmup.
+	arrivedTotal, servedTotal int64
+	inService                 int
 
 	// Probe support. Omega-style in-network rejects are surfaced by
 	// diffing the network's telemetry counter around each Acquire; the
 	// diff (and the TelemetrySource lookup) happens only when a probe is
 	// attached, keeping the nil fast path to a single branch per site.
-	probe := cfg.Probe
-	var telSrc core.TelemetrySource
-	if probe != nil {
-		telSrc, _ = net.(core.TelemetrySource)
-	}
-	rejectCount := func() int64 {
-		if telSrc == nil {
-			return 0
-		}
-		return telSrc.Telemetry().Rejects
-	}
+	probe  obs.Probe
+	telSrc core.TelemetrySource
+}
 
-	for pid := 0; pid < p; pid++ {
-		if rates[pid] > 0 {
-			schedule(event{time: src.Exp(rates[pid]), kind: evArrival, pid: pid})
-		}
+// newKernel builds the run's state and schedules every processor's
+// first arrival. cfg has its defaults applied. The kernel is returned
+// by value so it stays on run's stack instead of costing a heap
+// allocation per run. Its tables stay behind pointers: embedded by
+// value they made BenchmarkEngineThroughput's p=16 SBUS and XBAR runs
+// about 5% slower (medians of 24 alternating runs, Intel Xeon 2-vCPU).
+func newKernel(net core.Network, cfg Config, rates []float64, q eventQueue) kernel {
+	p := net.Processors()
+	k := kernel{
+		net: net, cfg: cfg, rates: rates, p: p,
+		src:       rng.New(cfg.Seed),
+		q:         q,
+		pt:        newProcTable(p, p),
+		grants:    newGrantTable(),
+		retryPend: make([]bool, p),
+		blocked:   newWaiterSet(p),
+		headSince: make([]float64, p),
+		delays:    stats.NewBatchMeans(int64(cfg.BatchSize)),
+		responses: stats.NewBatchMeans(int64(cfg.BatchSize)),
+		probe:     cfg.Probe,
 	}
-
-	// startTx begins transmission for pid's head-of-queue task (already
-	// granted). Returns the queueing delay of the task.
-	//lint:hotpath grant-to-transmission turnaround
-	startTx := func(pid int, g core.Grant) float64 {
-		eligibleAt := headSince[pid]
-		arrivedAt, req := pt.popFront(pid)
-		setQ(-1)
-		pt.transmitting[pid] = true
-		setBusy(1)
-		gi := grants.put(g, arrivedAt)
-		schedule(event{time: now + src.Exp(cfg.MuN), kind: evTxDone, pid: pid, gidx: gi})
-		d := now - arrivedAt
-		//lint:coldpath probe emission, nil on the measured fast path
-		if probe != nil {
-			// Latency attribution: split d into queue wait (arrival →
-			// eligible) and network blocking (eligible → now). arrivedAt ≤
-			// eligibleAt ≤ now, and IEEE subtraction is monotone in the
-			// subtrahend, so 0 ≤ block ≤ d without clamping; the fixup
-			// loop then nudges wait until wait+block reproduces d bit for
-			// bit (one float64 subtraction is almost always enough — the
-			// loop is a guard against the rare double rounding).
-			block := now - eligibleAt
-			wait := d - block
-			for i := 0; i < 8 && wait+block != d; i++ {
-				wait += d - (wait + block)
-			}
-			grants.setAttr(gi, req, now, wait, block)
-			probe.Event(obs.Event{T: now, Kind: obs.KindTransmitStart, Pid: pid, Port: g.Port, Req: req, Dur: d})
-		}
-		return d
+	k.hinter, _ = net.(core.AvailabilityHinter)
+	if cfg.WakePolicy == WakeRandom {
+		k.wakeScratch = make([]int, p)
 	}
-
-	var kept []float64
 	if cfg.CollectDelays {
-		kept = make([]float64, 0, cfg.Samples)
+		k.kept = make([]float64, 0, cfg.Samples)
 	}
-	//lint:hotpath per-sample delay recording
-	recordDelay := func(d float64) {
-		if !warmedUp {
-			return
-		}
-		delays.Add(d)
-		if cfg.CollectDelays {
-			//lint:ignore hotalloc kept has full-run capacity reserved above; pinned by TestRunSteadyStateZeroAlloc
-			kept = append(kept, d)
-		}
-		collected++
+	if k.probe != nil {
+		k.telSrc, _ = net.(core.TelemetrySource)
 	}
+	// Steady-state zero-allocation support: the batch-means slices are
+	// the only unbounded accumulators left, so reserve their full-run
+	// capacity up front (one batch mean per BatchSize samples, plus the
+	// in-progress batch).
+	k.delays.Reserve(cfg.Samples/cfg.BatchSize + 1)
+	k.responses.Reserve(cfg.Samples/cfg.BatchSize + 1)
+	k.queueLen.Set(0, 0)
+	k.busyTW.Set(0, 0)
+	for pid, r := range rates {
+		if r > 0 {
+			k.schedule(event{time: k.src.Exp(r), kind: evArrival, pid: pid})
+		}
+	}
+	return k
+}
 
-	// tryStart attempts to begin transmission for pid if it has queued
-	// work and is idle, registering pid as a blocked waiter when the
-	// attempt fails and clearing it on a grant.
-	//lint:hotpath allocation attempt, runs on every arrival and wake
-	tryStart := func(pid int) bool {
-		if pt.transmitting[pid] || pt.qlen[pid] == 0 {
-			return false
-		}
-		if hinter != nil && hinter.AcquireWouldFail(pid) {
-			// The network's status broadcast says the attempt is
-			// hopeless; per the core.AvailabilityHinter contract the
-			// hinter has already accounted the probe in telemetry
-			// exactly as the failed Acquire would have, so skipping the
-			// call leaves results bit-for-bit unchanged. Fast-failed
-			// probes never enter the network, so they produce no
-			// in-network rejects — matching the Acquire paths the hint
-			// short-circuits, which reject-count before routing.
-			blocked.add(pid)
-			return false
-		}
-		var rejBefore int64
-		//lint:coldpath probe emission, nil on the measured fast path
-		if probe != nil {
-			rejBefore = rejectCount()
-		}
-		g, ok := net.Acquire(pid)
-		if !ok {
-			//lint:coldpath probe emission, nil on the measured fast path
-			if probe != nil {
-				if rej := rejectCount() - rejBefore; rej > 0 {
-					probe.Event(obs.Event{T: now, Kind: obs.KindReject, Pid: pid, Port: -1, Req: pt.arena.req[pt.qhead[pid]], Aux: rej})
-				}
-			}
-			blocked.add(pid)
-			return false
-		}
-		//lint:coldpath probe emission, nil on the measured fast path
-		if probe != nil {
-			probe.Event(obs.Event{T: now, Kind: obs.KindGrant, Pid: pid, Port: g.Port, Req: pt.arena.req[pt.qhead[pid]], Aux: rejectCount() - rejBefore})
-		}
-		blocked.remove(pid)
-		recordDelay(startTx(pid, g))
-		return true
-	}
-
-	// wakeLegacy is the pre-incremental engine, kept verbatim as the
-	// differential-test oracle (Config.legacyWake): full passes over all
-	// p processors in policy order until a pass makes no progress, with
-	// tryStart no-opping on processors that are transmitting or have
-	// empty queues.
-	wakeLegacy := func() {
-		if cfg.RetryJitter > 0 {
-			for pid := 0; pid < p; pid++ {
-				if retryPend[pid] || pt.transmitting[pid] || pt.qlen[pid] == 0 {
-					continue
-				}
-				retryPend[pid] = true
-				schedule(event{time: now + src.Exp(1/cfg.RetryJitter), kind: evRetry, pid: pid})
-			}
-			return
-		}
-		switch cfg.WakePolicy {
-		case WakeIndexOrder:
-			for progress := true; progress; {
-				progress = false
-				for pid := 0; pid < p; pid++ {
-					if tryStart(pid) {
-						progress = true
-					}
-				}
-			}
-		case WakeRoundRobin:
-			rrStart = (rrStart + 1) % p
-			for progress := true; progress; {
-				progress = false
-				for i := 0; i < p; i++ {
-					if tryStart((rrStart + i) % p) {
-						progress = true
-					}
-				}
-			}
-		case WakeRandom:
-			for progress := true; progress; {
-				progress = false
-				for _, pid := range src.Perm(p) {
-					if tryStart(pid) {
-						progress = true
-					}
-				}
-			}
-		}
-	}
-
-	// wake retries blocked processors after a release. The incremental
-	// engine visits only the registered blocked waiters, in the exact
-	// order the legacy full scan would have reached them, so results are
-	// bit-for-bit identical:
-	//
-	//   - tryStart is a strict no-op (no Acquire, no RNG draw) for any
-	//     processor that is transmitting or has an empty queue, so
-	//     skipping non-waiters cannot change state, telemetry, or the
-	//     random stream;
-	//   - within a pass grants only consume network capacity, so no
-	//     processor becomes blocked mid-pass and the waiter set only
-	//     loses the members the pass itself grants;
-	//   - the legacy engine repeats passes while any pass made progress,
-	//     and its hopeless re-probes land in network telemetry, so the
-	//     incremental engine repeats identically rather than stopping
-	//     early (the AvailabilityHinter keeps those re-probes O(1));
-	//   - WakeRandom draws a full permutation per pass either way
-	//     (PermInto consumes exactly Perm's variates) and filters it by
-	//     membership, preserving the RNG stream.
-	//
-	// With RetryJitter set, retries are instead scheduled after
-	// independent exponential delays — the paper's de-synchronization
-	// suggestion — visiting waiters in the ascending order the legacy
-	// scan used.
-	//lint:hotpath post-release retry engine
-	wake := func() {
-		if cfg.legacyWake {
-			//lint:ignore hotalloc legacy oracle engine, reachable only from this package's differential tests (src.Perm allocates by design)
-			wakeLegacy()
-			return
-		}
-		if cfg.RetryJitter > 0 {
-			for pid := blocked.next(0); pid != -1; pid = blocked.next(pid + 1) {
-				if retryPend[pid] {
-					continue
-				}
-				retryPend[pid] = true
-				schedule(event{time: now + src.Exp(1/cfg.RetryJitter), kind: evRetry, pid: pid})
-			}
-			return
-		}
-		switch cfg.WakePolicy {
-		case WakeIndexOrder:
-			for progress := true; progress; {
-				progress = false
-				for pid := blocked.next(0); pid != -1; pid = blocked.next(pid + 1) {
-					if tryStart(pid) {
-						progress = true
-					}
-				}
-			}
-		case WakeRoundRobin:
-			rrStart = (rrStart + 1) % p
-			for progress := true; progress; {
-				progress = false
-				for pid := blocked.next(rrStart); pid != -1; pid = blocked.next(pid + 1) {
-					if tryStart(pid) {
-						progress = true
-					}
-				}
-				for pid := blocked.next(0); pid != -1 && pid < rrStart; pid = blocked.next(pid + 1) {
-					if tryStart(pid) {
-						progress = true
-					}
-				}
-			}
-		case WakeRandom:
-			for progress := true; progress; {
-				progress = false
-				src.PermInto(wakeScratch)
-				for _, pid := range wakeScratch {
-					if blocked.contains(pid) && tryStart(pid) {
-						progress = true
-					}
-				}
-			}
-		}
-	}
-
-	//lint:hotpath the event loop — everything below runs once per simulated event
-	for collected < cfg.Samples {
-		if q.len() == 0 {
-			break // λ == 0: nothing will ever happen
-		}
-		e := q.pop()
+// loop pops and dispatches events until Samples post-warmup delays are
+// collected or no event remains (every arrival rate is zero).
+//
+//lint:hotpath the event loop, once per simulated event
+func (k *kernel) loop() error {
+	for k.collected < k.cfg.Samples && k.q.len() > 0 {
+		e := k.q.pop()
 		if invariant.Enabled() {
-			if verr := invariant.NonDecreasing("sim", now, e.time); verr != nil {
-				return Result{}, verr
+			if verr := invariant.NonDecreasing("sim", k.now, e.time); verr != nil {
+				return verr
 			}
 		}
-		now = e.time
-		if !warmedUp && now >= cfg.Warmup {
-			warmedUp = true
-			queueLen.Reset()
-			busyTW.Reset()
-			completed = 0
+		k.now = e.time
+		if !k.warmedUp && k.now >= k.cfg.Warmup {
+			k.warmedUp = true
+			k.queueLen.Reset()
+			k.busyTW.Reset()
+			k.completed = 0
 		}
 		switch e.kind {
 		case evArrival:
-			req := arrivedTotal
-			arrivedTotal++
-			//lint:coldpath probe emission, nil on the measured fast path
-			if probe != nil {
-				probe.Event(obs.Event{T: now, Kind: obs.KindArrival, Pid: e.pid, Port: -1, Req: req})
+			if err := k.arrival(e.pid); err != nil {
+				return err
 			}
-			if pt.qlen[e.pid] == 0 && !pt.transmitting[e.pid] {
-				// The task heads an empty queue on an idle processor: it
-				// is eligible to transmit the instant it arrives.
-				headSince[e.pid] = now
-			}
-			pt.push(e.pid, now, req)
-			setQ(1)
-			//lint:coldpath saturation abort, terminates the run
-			if pt.queued(e.pid) >= cfg.MaxQueue {
-				return Result{}, fmt.Errorf("%w (processor %d, t=%g)", ErrSaturated, e.pid, now)
-			}
-			// The task has joined its processor's queue; report that
-			// before the allocation attempt so probes see the causal
-			// order enqueue → grant. Aux is the queue length including
-			// this task.
-			//lint:coldpath probe emission, nil on the measured fast path
-			if probe != nil {
-				probe.Event(obs.Event{T: now, Kind: obs.KindEnqueue, Pid: e.pid, Port: -1, Req: req, Aux: int64(pt.queued(e.pid))})
-			}
-			tryStart(e.pid)
-			schedule(event{time: now + src.Exp(rates[e.pid]), kind: evArrival, pid: e.pid})
 		case evTxDone:
-			g := grants.get(e.gidx)
-			net.ReleasePath(g)
-			pt.transmitting[e.pid] = false
-			if pt.qlen[e.pid] > 0 {
-				// The processor turned idle with work still queued: it
-				// is now a blocked waiter (its next task has not been
-				// granted), so register it before the wake below. Its
-				// head-of-queue task becomes eligible to transmit now.
-				blocked.add(e.pid)
-				headSince[e.pid] = now
-			}
-			setBusy(-1)
-			inService++
-			grants.markTx(e.gidx, now)
-			schedule(event{time: now + src.Exp(cfg.MuS), kind: evSvcDone, gidx: e.gidx})
-			//lint:coldpath probe emission, nil on the measured fast path
-			if probe != nil {
-				probe.Event(obs.Event{T: now, Kind: obs.KindTransmitEnd, Pid: e.pid, Port: g.Port, Req: grants.req(e.gidx)})
-			}
-			// The freed path (and bus) may unblock queued tasks,
-			// including this processor's own next task.
-			wake()
+			k.txDone(e.pid, e.gidx)
 		case evSvcDone:
-			s := grants.take(e.gidx)
-			net.ReleaseResource(s.g)
-			inService--
-			servedTotal++
-			completed++
-			// Response estimates use only tasks whose whole lifetime lies
-			// in the measurement window: a task that arrived before the
-			// warmup cut carries transient queueing in its response and
-			// would bias the steady-state mean.
-			if warmedUp && s.arrived >= cfg.Warmup {
-				responses.Add(now - s.arrived)
-			}
-			//lint:coldpath probe emission, nil on the measured fast path
-			if probe != nil {
-				probe.Event(obs.Event{T: now, Kind: obs.KindRelease, Pid: s.g.Processor, Port: s.g.Port, Req: s.req, Dur: now - s.txDone})
-				// Close the request with its exact latency attribution.
-				// resp is the same expression the Response estimator
-				// consumes, tx/svc telescope between the stored stamps;
-				// the fixup loop nudges svc until the left-to-right sum
-				// (wait+block)+tx+svc reproduces resp bit for bit.
-				resp := now - s.arrived
-				tx := s.txDone - s.txStart
-				svc := now - s.txDone
-				partial := (s.wait + s.block) + tx
-				for i := 0; i < 8 && partial+svc != resp; i++ {
-					svc += resp - (partial + svc)
-				}
-				var measured int64
-				if warmedUp && s.arrived >= cfg.Warmup {
-					measured = 1
-				}
-				probe.Event(obs.Event{
-					T: now, Kind: obs.KindComplete, Pid: s.g.Processor, Port: s.g.Port,
-					Req: s.req, Aux: measured, Dur: resp,
-					Wait: s.wait, Block: s.block, Tx: tx, Svc: svc,
-				})
-			}
-			// The freed resource may unblock queued tasks.
-			wake()
+			k.svcDone(e.gidx)
 		case evRetry:
-			retryPend[e.pid] = false
-			tryStart(e.pid)
+			k.retry(e.pid)
 		}
 		if invariant.Enabled() {
-			if verr := blockedInvariant(pt, blocked); verr != nil {
-				return Result{}, verr
+			if verr := blockedInvariant(k.pt, k.blocked); verr != nil {
+				return verr
 			}
-			if verr := pt.checkChains(); verr != nil {
-				return Result{}, verr
+			if verr := k.pt.checkChains(); verr != nil {
+				return verr
 			}
 		}
 	}
+	return nil
+}
 
-	if invariant.Enabled() {
-		inFlight := int64(totalQ + busyPorts + inService)
-		if verr := invariant.Conserved("sim", arrivedTotal, servedTotal, inFlight); verr != nil {
-			return Result{}, verr
-		}
-		if out := grants.outstanding(); out != busyPorts+inService {
-			return Result{}, invariant.Errorf("sim",
-				"grant table leak: %d outstanding grants for %d tasks holding the network", out, busyPorts+inService)
-		}
-	}
-
-	res = Result{
-		Delay:     delays.Interval(0.95),
-		Response:  responses.Interval(0.95),
-		Completed: completed,
+// result assembles the run's Result from the closed accumulators.
+func (k *kernel) result() Result {
+	net, now := k.net, k.now
+	res := Result{
+		Delay:     k.delays.Interval(0.95),
+		Response:  k.responses.Interval(0.95),
+		Completed: k.completed,
 		SimTime:   now,
-		Delays:    kept,
+		Delays:    k.kept,
 	}
-	res.MeanQueue = queueLen.Finish(now)
-	res.Utilization = busyTW.Finish(now) / float64(net.Ports())
+	res.MeanQueue = k.queueLen.Finish(now)
+	res.Utilization = k.busyTW.Finish(now) / float64(net.Ports())
 	res.NormalizedDelay = stats.CI{
-		Mean:     res.Delay.Mean * cfg.MuS,
-		HalfWide: res.Delay.HalfWide * cfg.MuS,
+		Mean:     res.Delay.Mean * k.cfg.MuS,
+		HalfWide: res.Delay.HalfWide * k.cfg.MuS,
 		N:        res.Delay.N,
 	}
 	if ts, ok := net.(core.TelemetrySource); ok {
@@ -723,18 +424,329 @@ func Run(net core.Network, cfg Config) (res Result, err error) {
 	if ds, ok := net.(core.DetailSource); ok {
 		res.Details = ds.DetailCounters()
 	}
-	if cfg.ExportAccumulators {
+	if k.cfg.ExportAccumulators {
 		// queueLen/busyTW windows are closed (Finish above), so the
 		// copies are stable snapshots ready for window stitching.
 		res.Accum = &Accum{
-			Delays:    delays,
-			Responses: responses,
-			QueueLen:  queueLen,
-			BusyPorts: busyTW,
+			Delays:    k.delays,
+			Responses: k.responses,
+			QueueLen:  k.queueLen,
+			BusyPorts: k.busyTW,
 			Ports:     net.Ports(),
 		}
 	}
-	return res, nil
+	return res
+}
+
+//lint:hotpath event scheduling, one call per simulated event
+func (k *kernel) schedule(e event) {
+	e.seq = k.seq
+	k.seq++
+	k.q.push(e)
+}
+
+//lint:hotpath queue-length accumulator update
+func (k *kernel) setQ(delta int) {
+	k.totalQ += delta
+	k.queueLen.Set(k.now, float64(k.totalQ))
+}
+
+//lint:hotpath busy-port accumulator update
+func (k *kernel) setBusy(delta int) {
+	k.busyPorts += delta
+	k.busyTW.Set(k.now, float64(k.busyPorts))
+}
+
+// rejectCount reads the network's cumulative in-network rejects.
+func (k *kernel) rejectCount() int64 {
+	if k.telSrc == nil {
+		return 0
+	}
+	return k.telSrc.Telemetry().Rejects
+}
+
+// startTx begins transmission for pid's head-of-queue task (already
+// granted). Returns the queueing delay of the task.
+//
+//lint:hotpath grant-to-transmission turnaround
+func (k *kernel) startTx(pid int, g core.Grant) float64 {
+	eligibleAt := k.headSince[pid]
+	arrivedAt, req := k.pt.popFront(pid)
+	k.setQ(-1)
+	k.pt.transmitting[pid] = true
+	k.setBusy(1)
+	gi := k.grants.put(g, arrivedAt)
+	k.schedule(event{time: k.now + k.src.Exp(k.cfg.MuN), kind: evTxDone, pid: pid, gidx: gi})
+	d := k.now - arrivedAt
+	//lint:coldpath probe emission, nil on the measured fast path
+	if k.probe != nil {
+		// Latency attribution: split d into queue wait (arrival →
+		// eligible) and network blocking (eligible → now). arrivedAt ≤
+		// eligibleAt ≤ now, and IEEE subtraction is monotone in the
+		// subtrahend, so 0 ≤ block ≤ d without clamping; the fixup
+		// loop then nudges wait until wait+block reproduces d bit for
+		// bit (one float64 subtraction is almost always enough — the
+		// loop is a guard against the rare double rounding).
+		block := k.now - eligibleAt
+		wait := d - block
+		for i := 0; i < 8 && wait+block != d; i++ {
+			wait += d - (wait + block)
+		}
+		k.grants.setAttr(gi, req, k.now, wait, block)
+		k.probe.Event(obs.Event{T: k.now, Kind: obs.KindTransmitStart, Pid: pid, Port: g.Port, Req: req, Dur: d})
+	}
+	return d
+}
+
+//lint:hotpath per-sample delay recording
+func (k *kernel) recordDelay(d float64) {
+	if !k.warmedUp {
+		return
+	}
+	k.delays.Add(d)
+	if k.cfg.CollectDelays {
+		//lint:ignore hotalloc kept has full-run capacity reserved in newKernel; pinned by TestRunSteadyStateZeroAlloc
+		k.kept = append(k.kept, d)
+	}
+	k.collected++
+}
+
+// tryStart attempts to begin transmission for pid if it has queued
+// work and is idle, registering pid as a blocked waiter when the
+// attempt fails and clearing it on a grant.
+//
+//lint:hotpath allocation attempt, runs on every arrival and wake
+func (k *kernel) tryStart(pid int) bool {
+	if k.pt.transmitting[pid] || k.pt.qlen[pid] == 0 {
+		return false
+	}
+	if k.hinter != nil && k.hinter.AcquireWouldFail(pid) {
+		// The network's status broadcast says the attempt is
+		// hopeless; per the core.AvailabilityHinter contract the
+		// hinter has already accounted the probe in telemetry
+		// exactly as the failed Acquire would have, so skipping the
+		// call leaves results bit-for-bit unchanged. Fast-failed
+		// probes never enter the network, so they produce no
+		// in-network rejects — matching the Acquire paths the hint
+		// short-circuits, which reject-count before routing.
+		k.blocked.add(pid)
+		return false
+	}
+	var rejBefore int64
+	//lint:coldpath probe emission, nil on the measured fast path
+	if k.probe != nil {
+		rejBefore = k.rejectCount()
+	}
+	g, ok := k.net.Acquire(pid)
+	if !ok {
+		//lint:coldpath probe emission, nil on the measured fast path
+		if k.probe != nil {
+			if rej := k.rejectCount() - rejBefore; rej > 0 {
+				k.probe.Event(obs.Event{T: k.now, Kind: obs.KindReject, Pid: pid, Port: -1, Req: k.pt.arena.req[k.pt.qhead[pid]], Aux: rej})
+			}
+		}
+		k.blocked.add(pid)
+		return false
+	}
+	//lint:coldpath probe emission, nil on the measured fast path
+	if k.probe != nil {
+		k.probe.Event(obs.Event{T: k.now, Kind: obs.KindGrant, Pid: pid, Port: g.Port, Req: k.pt.arena.req[k.pt.qhead[pid]], Aux: k.rejectCount() - rejBefore})
+	}
+	k.blocked.remove(pid)
+	k.recordDelay(k.startTx(pid, g))
+	return true
+}
+
+// wake retries blocked processors after a release. It visits only the
+// registered blocked waiters, in the exact order a full rescan of all
+// p processors would reach them (the pre-incremental engine, kept as
+// runOracle's legacy mode), so results are bit-for-bit identical:
+//
+//   - tryStart is a strict no-op (no Acquire, no RNG draw) for any
+//     processor that is transmitting or has an empty queue, so
+//     skipping non-waiters cannot change state, telemetry, or the
+//     random stream;
+//   - within a pass grants only consume network capacity, so no
+//     processor becomes blocked mid-pass and the waiter set only
+//     loses the members the pass itself grants;
+//   - the full rescan repeats passes while any pass made progress, and
+//     its hopeless re-probes land in network telemetry, so wake
+//     repeats identically rather than stopping early (the
+//     AvailabilityHinter keeps those re-probes O(1));
+//   - WakeRandom draws a full permutation per pass either way
+//     (PermInto consumes exactly Perm's variates) and filters it by
+//     membership, preserving the RNG stream.
+//
+// With RetryJitter set, retries are instead scheduled after
+// independent exponential delays — the paper's de-synchronization
+// suggestion — visiting waiters in ascending order.
+//
+//lint:hotpath post-release retry engine
+func (k *kernel) wake() {
+	if k.cfg.RetryJitter > 0 {
+		for pid := k.blocked.next(0); pid != -1; pid = k.blocked.next(pid + 1) {
+			if k.retryPend[pid] {
+				continue
+			}
+			k.retryPend[pid] = true
+			k.schedule(event{time: k.now + k.src.Exp(1/k.cfg.RetryJitter), kind: evRetry, pid: pid})
+		}
+		return
+	}
+	switch k.cfg.WakePolicy {
+	case WakeIndexOrder:
+		for progress := true; progress; {
+			progress = false
+			for pid := k.blocked.next(0); pid != -1; pid = k.blocked.next(pid + 1) {
+				if k.tryStart(pid) {
+					progress = true
+				}
+			}
+		}
+	case WakeRoundRobin:
+		k.rrStart = (k.rrStart + 1) % k.p
+		for progress := true; progress; {
+			progress = false
+			for pid := k.blocked.next(k.rrStart); pid != -1; pid = k.blocked.next(pid + 1) {
+				if k.tryStart(pid) {
+					progress = true
+				}
+			}
+			for pid := k.blocked.next(0); pid != -1 && pid < k.rrStart; pid = k.blocked.next(pid + 1) {
+				if k.tryStart(pid) {
+					progress = true
+				}
+			}
+		}
+	case WakeRandom:
+		for progress := true; progress; {
+			progress = false
+			k.src.PermInto(k.wakeScratch)
+			for _, pid := range k.wakeScratch {
+				if k.blocked.contains(pid) && k.tryStart(pid) {
+					progress = true
+				}
+			}
+		}
+	}
+}
+
+// arrival queues a new task at pid, attempts to start it, and
+// schedules pid's next arrival. It fails with ErrSaturated when pid's
+// queue reaches MaxQueue.
+//
+//lint:hotpath
+func (k *kernel) arrival(pid int) error {
+	req := k.arrivedTotal
+	k.arrivedTotal++
+	//lint:coldpath probe emission, nil on the measured fast path
+	if k.probe != nil {
+		k.probe.Event(obs.Event{T: k.now, Kind: obs.KindArrival, Pid: pid, Port: -1, Req: req})
+	}
+	if k.pt.qlen[pid] == 0 && !k.pt.transmitting[pid] {
+		// The task heads an empty queue on an idle processor: it
+		// is eligible to transmit the instant it arrives.
+		k.headSince[pid] = k.now
+	}
+	k.pt.push(pid, k.now, req)
+	k.setQ(1)
+	//lint:coldpath saturation abort, terminates the run
+	if k.pt.queued(pid) >= k.cfg.MaxQueue {
+		return fmt.Errorf("%w (processor %d, t=%g)", ErrSaturated, pid, k.now)
+	}
+	// The task has joined its processor's queue; report that
+	// before the allocation attempt so probes see the causal
+	// order enqueue → grant. Aux is the queue length including
+	// this task.
+	//lint:coldpath probe emission, nil on the measured fast path
+	if k.probe != nil {
+		k.probe.Event(obs.Event{T: k.now, Kind: obs.KindEnqueue, Pid: pid, Port: -1, Req: req, Aux: int64(k.pt.queued(pid))})
+	}
+	k.tryStart(pid)
+	k.schedule(event{time: k.now + k.src.Exp(k.rates[pid]), kind: evArrival, pid: pid})
+	return nil
+}
+
+// txDone ends pid's transmission on grant gi: the path is released,
+// the task's service begins, and blocked waiters retry.
+//
+//lint:hotpath
+func (k *kernel) txDone(pid, gi int) {
+	g := k.grants.get(gi)
+	k.net.ReleasePath(g)
+	k.pt.transmitting[pid] = false
+	if k.pt.qlen[pid] > 0 {
+		// The processor turned idle with work still queued: it
+		// is now a blocked waiter (its next task has not been
+		// granted), so register it before the wake below. Its
+		// head-of-queue task becomes eligible to transmit now.
+		k.blocked.add(pid)
+		k.headSince[pid] = k.now
+	}
+	k.setBusy(-1)
+	k.inService++
+	k.grants.markTx(gi, k.now)
+	k.schedule(event{time: k.now + k.src.Exp(k.cfg.MuS), kind: evSvcDone, gidx: gi})
+	//lint:coldpath probe emission, nil on the measured fast path
+	if k.probe != nil {
+		k.probe.Event(obs.Event{T: k.now, Kind: obs.KindTransmitEnd, Pid: pid, Port: g.Port, Req: k.grants.req(gi)})
+	}
+	// The freed path (and bus) may unblock queued tasks,
+	// including this processor's own next task.
+	k.wake()
+}
+
+// svcDone completes the task served on grant gi: the resource is
+// released, the response time recorded, and blocked waiters retry.
+//
+//lint:hotpath
+func (k *kernel) svcDone(gi int) {
+	s := k.grants.take(gi)
+	k.net.ReleaseResource(s.g)
+	k.inService--
+	k.servedTotal++
+	k.completed++
+	// Response estimates use only tasks whose whole lifetime lies
+	// in the measurement window: a task that arrived before the
+	// warmup cut carries transient queueing in its response and
+	// would bias the steady-state mean.
+	if k.warmedUp && s.arrived >= k.cfg.Warmup {
+		k.responses.Add(k.now - s.arrived)
+	}
+	//lint:coldpath probe emission, nil on the measured fast path
+	if k.probe != nil {
+		now := k.now
+		k.probe.Event(obs.Event{T: now, Kind: obs.KindRelease, Pid: s.g.Processor, Port: s.g.Port, Req: s.req, Dur: now - s.txDone})
+		// Close the request with its exact latency attribution.
+		// resp is the same expression the Response estimator
+		// consumes, tx/svc telescope between the stored stamps;
+		// the fixup loop nudges svc until the left-to-right sum
+		// (wait+block)+tx+svc reproduces resp bit for bit.
+		resp := now - s.arrived
+		tx := s.txDone - s.txStart
+		svc := now - s.txDone
+		partial := (s.wait + s.block) + tx
+		for i := 0; i < 8 && partial+svc != resp; i++ {
+			svc += resp - (partial + svc)
+		}
+		var measured int64
+		if k.warmedUp && s.arrived >= k.cfg.Warmup {
+			measured = 1
+		}
+		k.probe.Event(obs.Event{
+			T: now, Kind: obs.KindComplete, Pid: s.g.Processor, Port: s.g.Port,
+			Req: s.req, Aux: measured, Dur: resp,
+			Wait: s.wait, Block: s.block, Tx: tx, Svc: svc,
+		})
+	}
+	// The freed resource may unblock queued tasks.
+	k.wake()
+}
+
+//lint:hotpath jittered re-attempt (Config.RetryJitter)
+func (k *kernel) retry(pid int) {
+	k.retryPend[pid] = false
+	k.tryStart(pid)
 }
 
 // grantTable stores outstanding grants (and their tasks' arrival times)

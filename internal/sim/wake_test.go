@@ -137,7 +137,7 @@ func diffLambda(name string) float64 {
 // TestWakeEngineDifferential is the equivalence proof for the
 // incremental wake engine: for every network class, wake policy,
 // jitter setting, and seed, a run with the legacy full-rescan engine
-// (Config.legacyWake, availability hints disabled) must produce a
+// (runOracle's legacy mode, availability hints disabled) must produce a
 // Result — metrics, telemetry, detail counters, and every raw delay
 // sample — that renders byte-identically to the incremental engine's.
 func TestWakeEngineDifferential(t *testing.T) {
@@ -153,9 +153,7 @@ func TestWakeEngineDifferential(t *testing.T) {
 							WakePolicy: pol, RetryJitter: jitter,
 							CollectDelays: true,
 						}
-						legacy := cfg
-						legacy.legacyWake = true
-						want, err := Run(mk(), legacy)
+						want, err := runOracle(mk(), cfg, true)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -189,8 +187,13 @@ func TestWakeEngineDifferentialTrace(t *testing.T) {
 						Seed: 7, Warmup: 50, Samples: 1500,
 						WakePolicy: pol, Probe: tr,
 					}
-					cfg.legacyWake = legacy
-					if _, err := Run(mk(), cfg); err != nil {
+					var err error
+					if legacy {
+						_, err = runOracle(mk(), cfg, true)
+					} else {
+						_, err = Run(mk(), cfg)
+					}
+					if err != nil {
 						t.Fatal(err)
 					}
 					var buf bytes.Buffer
@@ -214,7 +217,9 @@ func TestWakeEngineDifferentialTrace(t *testing.T) {
 // BenchmarkWakeEngines compares the legacy full-rescan wake against the
 // incremental blocked-waiter engine in its target regime: large p, high
 // resource intensity (ρ ≈ 0.85), where the legacy engine's O(p) scans
-// on every release dominate the event loop.
+// on every release dominate the event loop. The legacy rows run the
+// oracle kernel (runOracle), so they also include its older processor
+// layout and binary heap.
 func BenchmarkWakeEngines(b *testing.B) {
 	// The package's test init forces invariant checks on, which adds an
 	// O(p) recount per event to both engines and would mask the wake
@@ -241,8 +246,13 @@ func BenchmarkWakeEngines(b *testing.B) {
 						Lambda: c.lam, MuN: 4, MuS: 1,
 						Seed: 1, Warmup: 100, Samples: 20000,
 					}
-					cfg.legacyWake = mode == "legacy"
-					if _, err := Run(c.mk(), cfg); err != nil {
+					var err error
+					if mode == "legacy" {
+						_, err = runOracle(c.mk(), cfg, true)
+					} else {
+						_, err = Run(c.mk(), cfg)
+					}
+					if err != nil {
 						b.Fatal(err)
 					}
 				}
