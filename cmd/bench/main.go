@@ -23,9 +23,12 @@
 //
 // The gate compares this run's min-of-N against the committed baseline
 // and fails when any benchmark is slower by more than -tolerance
-// (default 0.05). Benchmarks added since the baseline was recorded are
-// reported but do not fail the gate; benchmarks that disappeared do,
-// so silent renames cannot dodge it.
+// (default 0.05; it must be finite and ≥ 0). Benchmarks added since
+// the baseline was recorded are reported but do not fail the gate;
+// benchmarks that disappeared do, so silent renames cannot dodge it.
+// Usage errors — including a bad -tolerance and a baseline that is
+// unreadable or has no results — exit with status 2 before any
+// benchmark runs; a failed run or gate exits 1.
 package main
 
 import (
@@ -34,6 +37,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/exec"
 	"regexp"
@@ -66,12 +70,23 @@ func main() {
 	)
 	flag.Parse()
 	if (*out == "") == (*baseline == "") {
-		fmt.Fprintln(os.Stderr, "bench: exactly one of -out or -baseline is required")
-		os.Exit(2)
+		usageError("exactly one of -out or -baseline is required")
 	}
 	if *count < 1 {
-		fmt.Fprintln(os.Stderr, "bench: -count must be ≥ 1")
-		os.Exit(2)
+		usageError("-count must be ≥ 1")
+	}
+	// A NaN tolerance would make every ratio > 1+tolerance test false and
+	// pass any slowdown; a negative one fails identical timings. Both are
+	// caught here, before the benchmarks run, as is a bad baseline.
+	if !(*tolerance >= 0) || math.IsInf(*tolerance, 0) {
+		usageError(fmt.Sprintf("-tolerance must be finite and ≥ 0 (got %g)", *tolerance))
+	}
+	var base document
+	if *baseline != "" {
+		var err error
+		if base, err = readBaseline(*baseline); err != nil {
+			usageError(err.Error())
+		}
 	}
 
 	doc, err := measure(*benchRe, *pkg, *count, *benchtime)
@@ -95,15 +110,16 @@ func main() {
 		return
 	}
 
-	base, err := readBaseline(*baseline)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bench:", err)
-		os.Exit(1)
-	}
 	if err := gate(os.Stdout, base, doc, *tolerance); err != nil {
 		fmt.Fprintln(os.Stderr, "bench:", err)
 		os.Exit(1)
 	}
+}
+
+// usageError reports an invalid invocation and exits with status 2.
+func usageError(msg string) {
+	fmt.Fprintln(os.Stderr, "bench:", msg)
+	os.Exit(2)
 }
 
 // benchLine matches one `go test -bench` result line, e.g.
@@ -164,6 +180,9 @@ func readBaseline(path string) (document, error) {
 	}
 	if doc.Schema != schema {
 		return document{}, fmt.Errorf("%s: schema %q, want %q", path, doc.Schema, schema)
+	}
+	if len(doc.Results) == 0 {
+		return document{}, fmt.Errorf("%s: no results (an empty baseline would pass any run)", path)
 	}
 	return doc, nil
 }

@@ -1,21 +1,25 @@
-// Command rsinlint runs the project's static analyzers over packages
-// of this module: the determinism suite (norand, noclock, maporder,
-// seedflow), the dataflow suite (floatsafe, errflow, sharedstate,
-// probrange) built on the internal CFG and reaching-definitions
-// engine, and the interprocedural suite (hotalloc) built on the
-// whole-module call graph and function summaries. It is built only on
+// Command rsinlint runs the project's eight static analyzers over
+// packages of this module: the determinism checks (norand, noclock,
+// seedflow), the dataflow suite (floatsafe, errflow, probrange) built
+// on the internal CFG, dominator and reaching-definitions engine, and
+// the interprocedural suite (hotalloc, puredet) built on the
+// whole-module call graph and function summaries, which also carry
+// noclock's and seedflow's checks across calls. It is built only on
 // the standard library — no golang.org/x/tools — so it works in the
 // dependency-free build environment.
 //
 // Usage:
 //
 //	go run ./cmd/rsinlint [-tags taglist] [-json] [-analyzers list] [-callgraph-dot file] [packages]
-//	go run ./cmd/rsinlint -certify <root>[,<root>...] [-certify-out file] [packages]
+//	go run ./cmd/rsinlint -certify <root>[,<root>...] [-tags taglist] [-certify-out file] [packages]
 //	go run ./cmd/rsinlint -explain <analyzer>
 //
 // Package patterns are module-relative ("./...", "./internal/sim");
 // the default is "./...". The exit status is 1 if any finding
-// survived suppression, 2 on operational errors.
+// survived suppression, 2 on operational errors. A flag the chosen
+// mode does not read (-certify-out without -certify; -json,
+// -analyzers or -callgraph-dot with -certify; anything besides
+// -explain with -explain) is an error, exit status 2.
 //
 // -analyzers restricts the run to a comma-separated subset of the
 // analyzer names (unknown names are an error). -callgraph-dot writes
@@ -61,6 +65,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"rsin/internal/lint"
@@ -76,29 +81,64 @@ func main() {
 	certifyOut := flag.String("certify-out", "", "certificate output path, module-relative (default lint/determinism.cert.json; \"-\" for stdout)")
 	flag.Usage = usage
 	flag.Parse()
-	if *explain != "" {
-		if err := runExplain(*explain); err != nil {
-			fmt.Fprintln(os.Stderr, "rsinlint:", err)
-			os.Exit(2)
+	mode, err := chooseMode(flag.CommandLine)
+	if err == nil {
+		switch mode {
+		case "explain":
+			err = runExplain(*explain)
+		case "certify":
+			err = runCertify(*tags, *certify, *certifyOut, flag.Args())
+		default:
+			err = run(*tags, *jsonOut, *subset, *dotFile, flag.Args())
 		}
-		return
 	}
-	if *certify != "" {
-		if err := runCertify(*tags, *certify, *certifyOut, flag.Args()); err != nil {
-			fmt.Fprintln(os.Stderr, "rsinlint:", err)
-			os.Exit(2)
-		}
-		return
-	}
-	if err := run(*tags, *jsonOut, *subset, *dotFile, flag.Args()); err != nil {
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "rsinlint:", err)
 		os.Exit(2)
 	}
 }
 
+// modeFlags lists the flags each mode reads. Any other flag would be
+// silently ignored, so chooseMode rejects it.
+var modeFlags = map[string][]string{
+	"explain": {"explain"},
+	"certify": {"certify", "certify-out", "tags"},
+	"lint":    {"tags", "json", "analyzers", "callgraph-dot"},
+}
+
+// chooseMode picks the mode from the flags set on fs (-explain, else
+// -certify, else lint) and rejects flags and arguments that mode would
+// ignore.
+func chooseMode(fs *flag.FlagSet) (string, error) {
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	mode := "lint"
+	switch {
+	case set["explain"]:
+		mode = "explain"
+	case set["certify"]:
+		mode = "certify"
+	}
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		switch {
+		case err != nil || slices.Contains(modeFlags[mode], f.Name):
+		case mode == "lint":
+			err = fmt.Errorf("-%s requires -certify", f.Name)
+		default:
+			err = fmt.Errorf("-%s has no effect with -%s", f.Name, mode)
+		}
+	})
+	if err == nil && mode == "explain" && fs.NArg() > 0 {
+		err = fmt.Errorf("-explain takes no package arguments (got %q)", fs.Arg(0))
+	}
+	return mode, err
+}
+
 func usage() {
 	fmt.Fprintf(flag.CommandLine.Output(),
 		"usage: rsinlint [-tags taglist] [-json] [-analyzers list] [-callgraph-dot file] [packages]\n"+
+			"       rsinlint -certify <root>[,<root>...] [-tags taglist] [-certify-out file] [packages]\n"+
 			"       rsinlint -explain <analyzer>\n\nflags:\n")
 	flag.PrintDefaults()
 	fmt.Fprintf(flag.CommandLine.Output(), "\nanalyzers:\n")

@@ -1,6 +1,11 @@
 package main
 
 import (
+	"bytes"
+	"errors"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -56,4 +61,61 @@ func names(as []*lint.Analyzer) []string {
 		out[i] = a.Name
 	}
 	return out
+}
+
+// runMainEnv makes the re-executed test binary run the command itself,
+// so the tests below observe main's real exit status and stderr.
+const runMainEnv = "RSINLINT_TEST_RUN_MAIN"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(runMainEnv) == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestRejectedInvocations pins every invocation whose flags the chosen
+// mode would ignore, and every retired analyzer name, to exit status 2
+// with one "rsinlint: ..." line on stderr. Each is rejected before any
+// package is loaded, so nothing is written.
+func TestRejectedInvocations(t *testing.T) {
+	dir := t.TempDir()
+	cert := filepath.Join(dir, "c.json")
+	dot := filepath.Join(dir, "g.dot")
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"certify-out without certify", []string{"-certify-out", cert}},
+		{"json with certify", []string{"-certify", "sim.Run", "-certify-out", cert, "-json"}},
+		{"analyzers with certify", []string{"-certify", "sim.Run", "-certify-out", cert, "-analyzers", "puredet"}},
+		{"callgraph-dot with certify", []string{"-certify", "sim.Run", "-certify-out", cert, "-callgraph-dot", dot}},
+		{"json with explain", []string{"-explain", "puredet", "-json"}},
+		{"packages with explain", []string{"-explain", "puredet", "./..."}},
+		{"retired maporder", []string{"-analyzers", "maporder"}},
+		{"retired sharedstate", []string{"-analyzers", "sharedstate"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cmd := exec.Command(os.Args[0], tc.args...)
+			cmd.Env = append(os.Environ(), runMainEnv+"=1")
+			var stdout, stderr bytes.Buffer
+			cmd.Stdout = &stdout
+			cmd.Stderr = &stderr
+			err := cmd.Run()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+				t.Fatalf("want exit status 2, got err=%v\nstdout:\n%s", err, stdout.String())
+			}
+			msg := stderr.String()
+			if !strings.HasPrefix(msg, "rsinlint: ") || strings.Count(msg, "\n") != 1 {
+				t.Errorf("want one \"rsinlint: ...\" line on stderr, got %q", msg)
+			}
+			for _, f := range []string{cert, dot} {
+				if _, err := os.Stat(f); err == nil {
+					t.Errorf("rejected invocation wrote %s", filepath.Base(f))
+				}
+			}
+		})
+	}
 }

@@ -6,8 +6,8 @@ package lint
 // suite built on the callgraph and summary packages.
 func All() []*Analyzer {
 	return []*Analyzer{
-		NoRand, NoClock, MapOrder, SeedFlow,
-		FloatSafe, ErrFlow, SharedState, ProbRange,
+		NoRand, NoClock, SeedFlow,
+		FloatSafe, ErrFlow, ProbRange,
 		HotAlloc, PureDet,
 	}
 }

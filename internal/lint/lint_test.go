@@ -118,10 +118,6 @@ func TestNoClockInObs(t *testing.T) {
 	runTestdata(t, NoClock, "noclock", "rsin/internal/obs", true)
 }
 
-func TestMapOrder(t *testing.T) {
-	runTestdata(t, MapOrder, "maporder", "rsin/testdata/maporder", false)
-}
-
 func TestSeedFlow(t *testing.T) {
 	runTestdata(t, SeedFlow, "seedflow", "rsin/internal/experiments", false)
 }
@@ -146,16 +142,6 @@ func TestErrFlow(t *testing.T) {
 	runTestdata(t, ErrFlow, "errflow", "rsin/testdata/errflow", false)
 }
 
-func TestSharedState(t *testing.T) {
-	runTestdata(t, SharedState, "sharedstate", "rsin/testdata/sharedstate", false)
-}
-
-// TestSharedStateInRunner loads the goroutine-heavy sources as the
-// runner package, whose worker pool is the sanctioned home for them.
-func TestSharedStateInRunner(t *testing.T) {
-	runTestdata(t, SharedState, "sharedstate", "rsin/internal/runner", true)
-}
-
 func TestProbRange(t *testing.T) {
 	runTestdata(t, ProbRange, "probrange", "rsin/cmd/probrange", false)
 }
@@ -177,11 +163,19 @@ func TestHotAlloc(t *testing.T) {
 
 // TestPureDet covers the hazard classes of the determinism analyzer:
 // every package-level write form, goroutine spawns, scheduler-dependent
-// channel operations, and the interprocedural map-order leak — plus
-// the negatives (locals, init, collect-then-sort, pure range callees)
-// via the clean.go fixtures in the same package.
+// channel operations, and map-order leaks both direct (every leaking
+// statement, init included) and through a call chain — plus the
+// negatives (locals, init writes, collect-then-sort, pure range
+// callees) via the Good cases and clean.go in the same package.
 func TestPureDet(t *testing.T) {
 	runTestdata(t, PureDet, "puredet", "rsin/testdata/puredet", false)
+}
+
+// TestPureDetInLintTree loads the same fixture under the lint tool's
+// own import path: the check covers the whole module, the lint subtree
+// included.
+func TestPureDetInLintTree(t *testing.T) {
+	runTestdata(t, PureDet, "puredet", "rsin/internal/lint/testdata/puredet", false)
 }
 
 // TestPureDetConcurrency / TestPureDetRunnerConcExempt load the same

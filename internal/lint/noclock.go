@@ -5,27 +5,8 @@ import (
 	"go/types"
 
 	"rsin/internal/lint/callgraph"
+	"rsin/internal/lint/summary"
 )
-
-// clockExempt are the only packages allowed to read the wall clock: the
-// runner's execution telemetry and the observability layer's wall-clock
-// half (Stopwatch, Sink timing, pprof hooks). Every other package —
-// models, the event engine, experiments, and the cmd/ binaries — must
-// route elapsed-time reporting through those two, so that model results
-// and exported artifacts (figures, traces, metrics) can never depend on
-// when they ran. Test files are not loaded by the linter and may use
-// the clock freely.
-var clockExempt = map[string]bool{
-	"rsin/internal/runner": true,
-	"rsin/internal/obs":    true,
-}
-
-// noClockFuncs are the package-time primitives whose reference makes a
-// result depend on when it ran.
-var noClockFuncs = map[string]bool{
-	"Now": true, "Since": true, "Until": true, "After": true,
-	"Tick": true, "NewTimer": true, "NewTicker": true, "AfterFunc": true,
-}
 
 // NoClock reports wall-clock reads outside the exempt telemetry
 // packages, both direct references to time.Now & friends and — via the
@@ -43,7 +24,7 @@ var NoClock = &Analyzer{
 }
 
 func runNoClock(p *Pass) error {
-	if clockExempt[p.Path] {
+	if uniClockExempt[p.Path] {
 		return nil
 	}
 	for _, f := range p.Files {
@@ -60,7 +41,7 @@ func runNoClock(p *Pass) error {
 			if !ok || pn.Imported().Path() != "time" {
 				return true
 			}
-			if noClockFuncs[sel.Sel.Name] {
+			if summary.IsClockFunc(sel.Sel.Name) {
 				p.Reportf(sel.Pos(),
 					"wall-clock time.%s in %s: only internal/runner and internal/obs may read the wall clock (use obs.Stopwatch or runner.Telemetry)",
 					sel.Sel.Name, p.Path)
@@ -84,7 +65,7 @@ func runNoClock(p *Pass) error {
 				continue
 			}
 			cp := e.Callee.Pkg
-			if cp == nil || cp.Path == p.Path || clockExempt[cp.Path] {
+			if cp == nil || cp.Path == p.Path || uniClockExempt[cp.Path] {
 				continue
 			}
 			f := p.Uni.Sums.Facts(e.Callee)

@@ -3,55 +3,38 @@ package lint
 import (
 	"go/ast"
 	"go/token"
-	"strings"
 
 	"rsin/internal/lint/summary"
 )
 
-// PureDet reports determinism hazards that the sharded engine
-// (ROADMAP item 2) cannot tolerate inside the simulation call closure:
-// writes to package-level mutable state (shards would race or diverge
-// on it), goroutine launches and scheduler-dependent channel operations
-// outside the sanctioned runner pool, and map iteration order escaping
-// through a call chain into an output or global sink — the
-// interprocedural upgrade of maporder, whose intraprocedural findings
-// it deliberately does not duplicate.
+// PureDet reports determinism hazards: writes to package-level mutable
+// state (shards would race or diverge on it), goroutine launches and
+// scheduler-dependent channel operations outside the sanctioned runner
+// pool, and Go's randomized map iteration order escaping a range loop
+// into an output, package-level state, or an accumulated slice that is
+// not sorted afterwards — either directly in the loop body or through
+// a call chain.
 //
-// Package initialization (func init and package-level variable
-// initializers) is exempt: it runs once, in source order, before any
-// shard exists. The runner package is exempt from the concurrency
-// checks (its slot-indexed merge is pinned deterministic by
-// byte-identity tests), and the lint tool itself is out of scope.
+// Package initialization (func init bodies) is exempt from the state
+// and concurrency checks: it runs once, in source order, before any
+// shard exists. It is not exempt from the map-order check, because
+// iteration order still changes from one process to the next. The
+// runner package is exempt from the concurrency checks (its
+// slot-indexed merge is pinned deterministic by byte-identity tests).
 //
 // The -certify mode of cmd/rsinlint builds on the same facts to prove
 // entire call closures clean; see Certify.
 var PureDet = &Analyzer{
 	Name: "puredet",
-	Doc: "puredet reports shard-determinism hazards: package-level state writes, " +
+	Doc: "puredet reports determinism hazards: package-level state writes, " +
 		"unsanctioned goroutines and channel operations, and map iteration order " +
-		"reaching a sink through a call chain; cmd/rsinlint -certify builds whole-closure " +
+		"reaching an output, package-level state or an unsorted slice, directly or " +
+		"through a call chain; cmd/rsinlint -certify builds whole-closure " +
 		"determinism certificates on the same facts",
 	Run: runPureDet,
 }
 
-// puredetScope reports whether puredet audits the package at path in
-// analyzer mode. The lint tool subtree mutates caches by design and
-// cold packages compile to no-ops in production builds.
-func puredetScope(path string) bool {
-	if coldPkgs[path] {
-		return false
-	}
-	if path == "rsin/internal/lint" || strings.HasPrefix(path, "rsin/internal/lint/") {
-		return false
-	}
-	return true
-}
-
 func runPureDet(p *Pass) error {
-	u := p.Uni
-	if u == nil || !puredetScope(p.Path) {
-		return nil
-	}
 	skip := summary.ColdSkipper(p.Info, coldPkgs)
 	inits := initSpans(p.Files)
 	inInit := func(pos token.Pos) bool {
@@ -62,52 +45,47 @@ func runPureDet(p *Pass) error {
 		}
 		return false
 	}
-	for _, n := range u.Graph.Nodes {
+	report := func(ops []summary.DetOp, format string) {
+		for _, op := range ops {
+			if !inInit(op.Pos) {
+				p.Reportf(op.Pos, format, op.What)
+			}
+		}
+	}
+	for _, f := range p.Files {
+		for _, fn := range functionsIn(f) {
+			for _, op := range summary.MapOrderOps(p.Info, fn.body, skip) {
+				p.Reportf(op.Pos, "map iteration order leaks: %s", op.What)
+			}
+			report(summary.GlobalWriteOps(p.Info, fn.body, skip), "%s: package-level state is shared across shards")
+			if !uniConcExempt[p.Path] {
+				report(summary.SpawnOps(fn.body, skip), "%s outside the sanctioned runner pool")
+				report(summary.SelectOps(p.Info, fn.body, skip), "%s")
+			}
+		}
+	}
+	// Interprocedural map-order leak: the map range is here, the sink is
+	// in a callee. Direct leaks were reported above, and a chain
+	// inherited through a plain call is reported where its range is.
+	if p.Uni == nil {
+		return nil
+	}
+	for _, n := range p.Uni.Graph.Nodes {
 		if n.Pkg == nil || n.Pkg.Path != p.Path {
 			continue
 		}
-		body := n.Body()
-		if body == nil {
-			continue
-		}
-		for _, op := range summary.GlobalWriteOps(p.Info, body, skip) {
-			if inInit(op.Pos) {
-				continue
-			}
-			p.Reportf(op.Pos, "%s: package-level state is shared across shards", op.What)
-		}
-		if !uniConcExempt[p.Path] {
-			for _, op := range summary.SpawnOps(body, skip) {
-				if inInit(op.Pos) {
-					continue
-				}
-				p.Reportf(op.Pos, "%s outside the sanctioned runner pool", op.What)
-			}
-			for _, op := range summary.SelectOps(p.Info, body, skip) {
-				if inInit(op.Pos) {
-					continue
-				}
-				p.Reportf(op.Pos, "%s", op.What)
-			}
-		}
-		// Interprocedural map-order leak: the map range is here, the sink
-		// is in a callee. Direct in-loop sinks are maporder's findings and
-		// chains inherited through a plain call are reported where the
-		// range actually is, so only chains grounded by a call out of a
-		// local range body are reported.
-		f := u.Sums.Facts(n)
-		if f.RangesMapToSink && len(f.MapOrderPath) > 0 &&
-			f.MapOrderPath[0].What == summary.StepRangeCall && !inInit(f.MapOrderPath[0].Pos) {
-			p.Reportf(f.MapOrderPath[0].Pos, "map iteration order escapes through call: %s",
-				u.Sums.DescribeChain(n, f.MapOrderPath))
+		f := p.Uni.Sums.Facts(n)
+		if path := f.MapOrderPath; f.RangesMapToSink && groundedHere("RangesMapToSink", path) && path[0].Callee != nil {
+			p.Reportf(path[0].Pos, "map iteration order escapes through call: %s",
+				p.Uni.Sums.DescribeChain(n, path))
 		}
 	}
 	return nil
 }
 
 // initSpans returns the source extents of the files' init functions;
-// operations inside them are exempt from puredet (initialization runs
-// once, in source order, before any shard exists).
+// state and concurrency operations inside them are exempt from puredet
+// (initialization runs once, in source order, before any shard exists).
 func initSpans(files []*ast.File) []span {
 	var out []span
 	for _, f := range files {

@@ -228,48 +228,59 @@ func SelectOps(info *types.Info, root ast.Node, skip func(ast.Node) bool) []DetO
 	return ops
 }
 
-// mapRange is one range-over-map statement found in a function body.
-type mapRange struct {
-	rng *ast.RangeStmt
-}
-
 // mapRanges collects the range-over-map loops lexically in root.
-func mapRanges(info *types.Info, root ast.Node, skip func(ast.Node) bool) []mapRange {
-	var out []mapRange
+func mapRanges(info *types.Info, root ast.Node, skip func(ast.Node) bool) []*ast.RangeStmt {
+	var out []*ast.RangeStmt
 	walkHot(root, skip, func(nd ast.Node) {
-		rng, ok := nd.(*ast.RangeStmt)
-		if !ok {
-			return
-		}
-		if t := info.TypeOf(rng.X); t != nil && isMap(t) {
-			out = append(out, mapRange{rng: rng})
+		if rng, ok := nd.(*ast.RangeStmt); ok && isMap(info.TypeOf(rng.X)) {
+			out = append(out, rng)
 		}
 	})
 	return out
 }
 
-// rangeSinkOp reports a direct order-leak inside a map-range body:
-// an output call, a write to package-level state, or an append into an
-// accumulator declared outside the loop that is never sorted afterwards
-// in the enclosing body. body is the function body the loop lives in
-// (for the sorted-afterwards check); it may equal rng for region scans.
-func rangeSinkOp(info *types.Info, body ast.Node, rng *ast.RangeStmt, skip func(ast.Node) bool) (DetOp, bool) {
-	var op DetOp
-	found := false
-	walkHot(rng.Body, skip, func(nd ast.Node) {
-		if found {
-			return
+// MapOrderOps scans a function body for every direct map-order leak:
+// each statement inside a range-over-map loop that lets the randomized
+// iteration order out (see rangeSinkOps). An operation inside nested
+// map ranges is reported once. These are the grounding operations of
+// the RangesMapToSink fact; skip prunes cold subtrees as in AllocOpsIn.
+func MapOrderOps(info *types.Info, body ast.Node, skip func(ast.Node) bool) []DetOp {
+	var ops []DetOp
+	seen := map[token.Pos]bool{}
+	for _, rng := range mapRanges(info, body, skip) {
+		for _, op := range rangeSinkOps(info, body, rng, skip) {
+			if !seen[op.Pos] {
+				seen[op.Pos] = true
+				ops = append(ops, op)
+			}
 		}
+	}
+	return ops
+}
+
+// rangeSinkOps reports the direct order leaks inside a map-range body,
+// one per leaking statement: an output call (including a
+// Write/WriteString/WriteByte/WriteRune method on a receiver declared
+// outside the loop, such as a *strings.Builder parameter), a write to
+// package-level state, or an append into an accumulator declared
+// outside the loop that is never sorted afterwards in the enclosing
+// body. body is the function body the loop lives in (for the
+// sorted-afterwards check).
+func rangeSinkOps(info *types.Info, body ast.Node, rng *ast.RangeStmt, skip func(ast.Node) bool) []DetOp {
+	var ops []DetOp
+	add := func(pos token.Pos, what string) { ops = append(ops, DetOp{Pos: pos, What: what}) }
+	walkHot(rng.Body, skip, func(nd ast.Node) {
 		switch n := nd.(type) {
 		case *ast.CallExpr:
 			if what, ok := sinkCall(info, n); ok {
-				op, found = DetOp{Pos: n.Pos(), What: what + " inside range over map"}, true
+				add(n.Pos(), what+" inside range over map")
+			} else if what, ok := outerWriterCall(info, rng, n); ok {
+				add(n.Pos(), what+" inside range over map")
 			}
 		case *ast.AssignStmt:
 			for _, lhs := range n.Lhs {
 				if v, ok := globalWritten(info, lhs); ok {
-					op, found = DetOp{Pos: lhs.Pos(),
-						What: "writes package-level " + v.Pkg().Name() + "." + v.Name() + " inside range over map"}, true
+					add(lhs.Pos(), "writes package-level "+v.Pkg().Name()+"."+v.Name()+" inside range over map")
 					return
 				}
 			}
@@ -288,13 +299,34 @@ func rangeSinkOp(info *types.Info, body ast.Node, rng *ast.RangeStmt, skip func(
 				if sortedAfterRange(info, body, rng, obj) {
 					continue
 				}
-				op, found = DetOp{Pos: n.Pos(),
-					What: "appends to " + id.Name + " inside range over map without a subsequent sort"}, true
+				add(n.Pos(), "appends to "+id.Name+" inside range over map without a subsequent sort")
 				return
 			}
 		}
 	})
-	return op, found
+	return ops
+}
+
+// outerWriterCall classifies a Write/WriteString/WriteByte/WriteRune
+// method call on a concrete receiver variable declared outside the map
+// range: streaming into an outer builder or buffer records the
+// iteration order. sinkCall already covers interface-typed writers.
+func outerWriterCall(info *types.Info, rng *ast.RangeStmt, call *ast.CallExpr) (string, bool) {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return "", false
+	}
+	id, ok := sel.X.(*ast.Ident)
+	if !ok {
+		return "", false
+	}
+	switch sel.Sel.Name {
+	case "Write", "WriteString", "WriteByte", "WriteRune":
+		if v, ok := info.ObjectOf(id).(*types.Var); ok && !within(v.Pos(), rng) {
+			return "writes via " + id.Name + "." + sel.Sel.Name, true
+		}
+	}
+	return "", false
 }
 
 func isAppendBuiltin(info *types.Info, e ast.Expr) bool {

@@ -76,8 +76,7 @@ type Facts struct {
 	// RangesMapToSink: the function contains a range-over-map whose
 	// randomized iteration order can reach a sink — an output operation,
 	// package-level state, or a callee that emits output or writes
-	// globals — or calls a function that does. This is the
-	// interprocedural upgrade of the intraprocedural maporder check.
+	// globals — or calls a function that does.
 	RangesMapToSink bool
 	MapOrderPath    []Step
 
@@ -318,6 +317,10 @@ var clockFuncs = map[string]bool{
 	"Tick": true, "NewTimer": true, "NewTicker": true, "AfterFunc": true,
 }
 
+// IsClockFunc reports whether time.name is a wall-clock primitive: a
+// reference to it makes a result depend on when it ran.
+func IsClockFunc(name string) bool { return clockFuncs[name] }
+
 func (s *Store) applyExternal(f *Facts, e callgraph.Edge) bool {
 	pkg := e.Ext.Pkg()
 	if pkg == nil { // error.Error, universe funcs
@@ -352,19 +355,18 @@ func pkgShort(path string) string {
 }
 
 // mapRangeSink looks for a range-over-map in n's body whose iteration
-// order can reach a sink: a direct output/global-write/unsorted-append
-// inside the loop body, or a call from inside the loop body to a callee
-// whose EmitsOutput or WritesGlobal fact is (currently) set. The
-// returned witness chain starts at the grounding operation or at the
-// offending call edge.
+// order can reach a sink: a direct leak (the first of MapOrderOps), or
+// else a call from inside a loop body to a callee whose EmitsOutput or
+// WritesGlobal fact is (currently) set. The returned witness chain
+// starts at the grounding operation or at the offending call edge.
 func (s *Store) mapRangeSink(n *callgraph.Node, skip func(ast.Node) bool) ([]Step, bool) {
 	body := n.Body()
 	info := n.Pkg.Info
-	for _, mr := range mapRanges(info, body, skip) {
-		if op, ok := rangeSinkOp(info, body, mr.rng, skip); ok {
-			return []Step{{Pos: op.Pos, What: op.What}}, true
-		}
-		for _, e := range callsInside(n, mr.rng.Body, skip) {
+	if ops := MapOrderOps(info, body, skip); len(ops) > 0 {
+		return []Step{{Pos: ops[0].Pos, What: ops[0].What}}, true
+	}
+	for _, rng := range mapRanges(info, body, skip) {
+		for _, e := range callsInside(n, rng.Body, skip) {
 			if e.Callee == nil {
 				continue
 			}

@@ -261,28 +261,28 @@ func TestSuppressPartialNeverStale(t *testing.T) {
 
 func f() {
 	_ = 0 //lint:ignore puredet progress callback consumes counts only
-	_ = 1 //lint:ignore maporder stale justification
+	_ = 1 //lint:ignore norand stale justification
 }
 `
 	pkg, fset := parsePkg(t, src)
-	known := map[string]bool{"puredet": true, "maporder": true}
+	known := map[string]bool{"puredet": true, "norand": true}
 	for name, ran := range map[string]map[string]bool{
 		"full run":               nil,
-		"subset with puredet":    {"puredet": true, "maporder": true},
-		"subset without puredet": {"maporder": true},
+		"subset with puredet":    {"puredet": true, "norand": true},
+		"subset without puredet": {"norand": true},
 	} {
 		kept, suppressed := ApplySuppressions(pkg, fset, nil, known, ran)
 		if suppressed != 0 {
 			t.Errorf("%s: suppressed %d diagnostics of none", name, suppressed)
 		}
 		if len(kept) != 1 || kept[0].Analyzer != SuppressAnalyzer {
-			t.Fatalf("%s: kept %v, want exactly the stale maporder report", name, kept)
+			t.Fatalf("%s: kept %v, want exactly the stale norand report", name, kept)
 		}
 		if strings.Contains(kept[0].Message, "puredet") {
 			t.Errorf("%s: puredet directive reported stale: %q", name, kept[0].Message)
 		}
-		if !strings.Contains(kept[0].Message, "maporder") {
-			t.Errorf("%s: stale report should name maporder, got %q", name, kept[0].Message)
+		if !strings.Contains(kept[0].Message, "norand") {
+			t.Errorf("%s: stale report should name norand, got %q", name, kept[0].Message)
 		}
 	}
 }

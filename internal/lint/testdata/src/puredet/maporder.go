@@ -1,7 +1,8 @@
-// Package maporder exercises the maporder analyzer: loops over maps
-// must not leak Go's randomized iteration order into accumulated
-// slices or output streams.
-package maporder
+// Map-order fixtures: a loop over a map must not leak Go's randomized
+// iteration order into an accumulated slice or an output stream. The
+// Bad cases are reported at the leaking statement; the Good cases are
+// idioms puredet must stay silent on.
+package puredet
 
 import (
 	"fmt"
@@ -13,7 +14,7 @@ import (
 func BadAppend(m map[string]int) []string {
 	var keys []string
 	for k := range m {
-		keys = append(keys, k) // want "append to keys inside range over map"
+		keys = append(keys, k) // want "map iteration order leaks: appends to keys inside range over map without a subsequent sort"
 	}
 	return keys
 }
@@ -28,7 +29,7 @@ func GoodAppendSorted(m map[string]int) []string {
 	return keys
 }
 
-// GoodSortSlice suppresses via sort.Slice on the accumulated value.
+// GoodSortSlice sorts the accumulated value with sort.Slice.
 func GoodSortSlice(m map[string]int) []string {
 	var keys []string
 	for k := range m {
@@ -41,14 +42,34 @@ func GoodSortSlice(m map[string]int) []string {
 // BadPrint emits output in map order.
 func BadPrint(m map[string]int) {
 	for k, v := range m {
-		fmt.Printf("%s=%d\n", k, v) // want "fmt\.Printf inside range over map"
+		fmt.Printf("%s=%d\n", k, v) // want "map iteration order leaks: prints via fmt\.Printf inside range over map"
 	}
 }
 
 // BadBuilder streams into an outer writer in map order.
 func BadBuilder(m map[string]int, sb *strings.Builder) {
 	for k := range m {
-		sb.WriteString(k) // want "sb\.WriteString inside range over map"
+		sb.WriteString(k) // want "map iteration order leaks: writes via sb\.WriteString inside range over map"
+	}
+}
+
+// BadTwice leaks the order through two statements of one loop; each is
+// reported.
+func BadTwice(m map[string]int, sb *strings.Builder) []string {
+	var keys []string
+	for k := range m {
+		keys = append(keys, k) // want "map iteration order leaks: appends to keys"
+		sb.WriteByte('k')      // want "map iteration order leaks: writes via sb\.WriteByte"
+	}
+	return keys
+}
+
+// init may write package-level state, but map iteration order still
+// changes from one process to the next, so filling a global slice in
+// map order is a leak even here.
+func init() {
+	for _, v := range registry {
+		totals = append(totals, v) // want "map iteration order leaks: writes package-level puredet.totals inside range over map"
 	}
 }
 
@@ -73,7 +94,7 @@ func GoodSliceRange(xs []string) []string {
 	return out
 }
 
-// GoodClosureSorted sorts within the same closure body — the analyzer
+// GoodClosureSorted sorts within the same closure body — the check
 // scopes its search to the enclosing function literal.
 var GoodClosureSorted = func(m map[string]int) []string {
 	var keys []string

@@ -62,8 +62,8 @@ func drain(ch chan int) int {
 	return s
 }
 
-// The interprocedural upgrade over maporder: the sink is two calls away
-// from the loop, so only the transitive chain can see it.
+// Map iteration order reaching a sink two calls away from the loop: only
+// the transitive chain can see it.
 func emit(v int) {
 	fmt.Println(v)
 }

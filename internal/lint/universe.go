@@ -16,9 +16,16 @@ var (
 	// (arguments included) are off the steady-state path.
 	coldPkgs = map[string]bool{"rsin/internal/invariant": true}
 
-	// uniClockExempt packages are sanctioned wall-clock consumers
-	// (telemetry timestamps, progress reporting); clock taint stops at
-	// their boundary. Mirrors the noclock analyzer's exemption list.
+	// uniClockExempt are the only packages allowed to read the wall
+	// clock: the runner's execution telemetry and the observability
+	// layer's wall-clock half (Stopwatch, Sink timing, pprof hooks).
+	// Every other package — models, the event engine, experiments, and
+	// the cmd/ binaries — must route elapsed-time reporting through
+	// those two, so that model results and exported artifacts (figures,
+	// traces, metrics) can never depend on when they ran. noclock
+	// reports clock reads outside them, the ReadsClock fact stops at
+	// their boundary, and the certifier waives their reads. Test files
+	// are not loaded by the linter and may use the clock freely.
 	uniClockExempt = map[string]bool{
 		"rsin/internal/runner": true,
 		"rsin/internal/obs":    true,
