@@ -415,8 +415,8 @@ func BenchmarkEngineThroughput(b *testing.B) {
 // 64-wide sub-networks, run as a single 4096-processor event loop
 // (classic) and as 64 sub-simulations batched into 8 jobs (shards=8).
 // The sharded rows win even single-threaded — 64 small event loops are
-// cheaper than one huge one (shorter queues, O(sub-p) wake scans) —
-// and additionally parallelize across cores. The sample budget
+// cheaper than one huge one (shorter pending queues) — and
+// additionally parallelize across cores. The sample budget
 // (Samples=64000, BatchSize=1000) is chosen so the whole-batch quotas
 // deal exactly one batch to each sub-network: both estimators collect
 // exactly 64000 samples, making the wall-clock ratio a same-work

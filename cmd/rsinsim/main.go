@@ -100,6 +100,15 @@ func main() {
 	if !(*seriesDt > 0) || math.IsInf(*seriesDt, 0) {
 		fatal(fmt.Errorf("-series-dt must be positive and finite (got %g)", *seriesDt))
 	}
+	if !(*ratio > 0) || math.IsInf(*ratio, 0) {
+		fatal(fmt.Errorf("-ratio must be positive and finite (got %g)", *ratio))
+	}
+	if math.IsNaN(*rho) || math.IsInf(*rho, 0) {
+		fatal(fmt.Errorf("-rho must be finite (got %g)", *rho))
+	}
+	if math.IsNaN(*lambda) || math.IsInf(*lambda, 0) {
+		fatal(fmt.Errorf("-lambda must be finite (got %g)", *lambda))
+	}
 	if *cpuProfile != "" {
 		stop, err := obs.StartCPUProfile(*cpuProfile)
 		if err != nil {

@@ -41,6 +41,15 @@ func TestRejectedInvocations(t *testing.T) {
 		{"analytic on XBAR", []string{"-config", xbar, "-analytic"}},
 		{"removed queue flag", []string{"-config", xbar, "-queue", "heap"}},
 		{"malformed config", []string{"-config", "16/4x4 XBAR/2"}},
+		{"omega wider than 64", []string{"-config", "128/1x128x128 OMEGA/1"}},
+		{"ratio zero", []string{"-config", xbar, "-ratio", "0"}},
+		{"ratio negative", []string{"-config", xbar, "-ratio", "-0.1"}},
+		{"ratio NaN", []string{"-config", xbar, "-ratio", "NaN"}},
+		{"ratio Inf", []string{"-config", xbar, "-ratio", "+Inf"}},
+		{"rho NaN", []string{"-config", xbar, "-rho", "NaN"}},
+		{"rho Inf", []string{"-config", xbar, "-rho", "+Inf"}},
+		{"lambda NaN", []string{"-config", xbar, "-lambda", "NaN"}},
+		{"lambda Inf", []string{"-config", xbar, "-lambda", "+Inf"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cmd := exec.Command(os.Args[0], tc.args...)

@@ -16,6 +16,7 @@ package config
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -125,14 +126,19 @@ func (c Config) String() string {
 }
 
 // Validate checks structural consistency: p = i·j, positive dimensions,
-// and per-type constraints (SBUS has one output port; OMEGA is square
-// with a power-of-two size).
+// a port count i·k and resource count i·k·r that fit in an int, and
+// per-type constraints (SBUS has one output port; OMEGA and CUBE are
+// square with a power-of-two size of at most 64, the widest network
+// omega.New builds). The products are checked by division, so no
+// overflow can make a mismatched configuration pass.
 func (c Config) Validate() error {
 	switch {
 	case c.Processors <= 0 || c.Networks <= 0 || c.Inputs <= 0 || c.Outputs <= 0 || c.PerPort <= 0:
 		return fmt.Errorf("config: %s has non-positive dimensions", c)
-	case c.Processors != c.Networks*c.Inputs:
+	case c.Processors%c.Networks != 0 || c.Processors/c.Networks != c.Inputs:
 		return fmt.Errorf("config: %s violates p = i·j", c)
+	case c.Outputs > math.MaxInt/c.Networks || c.PerPort > math.MaxInt/(c.Networks*c.Outputs):
+		return fmt.Errorf("config: %s: i·k·r overflows an int", c)
 	}
 	switch c.Type {
 	case SBUS:
@@ -143,8 +149,8 @@ func (c Config) Validate() error {
 		if c.Inputs != c.Outputs {
 			return fmt.Errorf("config: %s: %s requires j = k", c, c.Type)
 		}
-		if c.Inputs < 2 || c.Inputs&(c.Inputs-1) != 0 {
-			return fmt.Errorf("config: %s: %s size must be a power of two ≥ 2", c, c.Type)
+		if c.Inputs < 2 || c.Inputs > 64 || c.Inputs&(c.Inputs-1) != 0 {
+			return fmt.Errorf("config: %s: %s size must be a power of two from 2 to 64", c, c.Type)
 		}
 	case XBAR:
 		// any shape

@@ -69,11 +69,15 @@ func TestParseErrors(t *testing.T) {
 		"x/16x1x1 SBUS/2",
 		"16/16xAx1 SBUS/2",
 		"16/16x1x1 SBUS/y",
-		"16/4x1x1 SBUS/2",    // p ≠ i·j
-		"16/16x1x2 SBUS/2",   // SBUS k ≠ 1
-		"16/1x16x8 OMEGA/2",  // OMEGA j ≠ k
-		"12/1x12x12 OMEGA/2", // OMEGA not power of two
-		"16/16x1x1 SBUS/0",   // r ≤ 0
+		"16/4x1x1 SBUS/2",                  // p ≠ i·j
+		"16/16x1x2 SBUS/2",                 // SBUS k ≠ 1
+		"16/1x16x8 OMEGA/2",                // OMEGA j ≠ k
+		"12/1x12x12 OMEGA/2",               // OMEGA not power of two
+		"16/16x1x1 SBUS/0",                 // r ≤ 0
+		"128/1x128x128 OMEGA/1",            // omega.New caps the size at 64
+		"2/3x6148914691236517206x1 XBAR/1", // i·j wraps to p
+		"4/4x1x4611686018427387904 XBAR/1", // i·k wraps to 0
+		"4/4x1x1 XBAR/4611686018427387904", // i·k·r wraps to 0
 	} {
 		if _, err := Parse(s); err == nil {
 			t.Errorf("Parse(%q) succeeded, want error", s)
@@ -181,4 +185,47 @@ func TestTypeString(t *testing.T) {
 	if NetworkType(42).String() == "" {
 		t.Error("unknown type should still format")
 	}
+}
+
+// FuzzParse checks Parse against Build on arbitrary strings, seeded
+// with the paper's configurations: every accepted string round-trips
+// through String and Parse, and every accepted configuration of up to
+// 4096 processors and resources builds without panicking into a
+// network with p processors, i·k ports and i·k·r resources.
+func FuzzParse(f *testing.F) {
+	for _, s := range []string{
+		"16/16x1x1 SBUS/2",
+		"16/8x2x1 SBUS/4",
+		"16/1x16x32 XBAR/1",
+		"16/4x4x4 XBAR/2",
+		"16/1x16x16 OMEGA/2",
+		"16/8x2x2 OMEGA/2",
+		"16/1x16x16 CUBE/2",
+		"16/1×16×16 OMEGA/2",
+		"4096/64x64x64 XBAR/1",
+		"4096/64x64x64 OMEGA/1",
+		"128/1x128x128 OMEGA/1",
+		"2/3x6148914691236517206x1 XBAR/1",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		c, err := Parse(s)
+		if err != nil {
+			return
+		}
+		if back, err := Parse(c.String()); err != nil || back != c {
+			t.Fatalf("Parse(%q) = %+v, but Parse(%q) = %+v, %v", s, c, c.String(), back, err)
+		}
+		if c.Processors > 4096 || c.TotalResources() > 4096 {
+			return
+		}
+		net, err := c.Build(BuildOptions{})
+		if err != nil {
+			t.Fatalf("Build(%s): %v", c, err)
+		}
+		if net.Processors() != c.Processors || net.Ports() != c.Networks*c.Outputs || net.TotalResources() != c.TotalResources() {
+			t.Fatalf("Build(%s) has %d processors, %d ports, %d resources", c, net.Processors(), net.Ports(), net.TotalResources())
+		}
+	})
 }

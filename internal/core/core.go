@@ -21,10 +21,17 @@ import "fmt"
 // duration of service; the two are released independently
 // (paper Section II: the connection is broken after transmission while
 // the resource continues processing).
+//
+// Rejects is the number of in-network rejects (Omega backtracks) the
+// Acquire call that returned the grant generated, the same count it
+// added to the network's Telemetry.Rejects. Acquire sets it on failure
+// too, where the returned Grant is otherwise zero. Networks that never
+// reject inside the network leave it 0.
 type Grant struct {
-	Processor int // requesting processor (global index)
-	Port      int // output port the request was routed to (global index)
-	Path      any // network-private path bookkeeping; owned by the issuing Network
+	Processor int   // requesting processor (global index)
+	Port      int   // output port the request was routed to (global index)
+	Path      any   // network-private path bookkeeping; owned by the issuing Network
+	Rejects   int64 // in-network rejects of the Acquire call
 }
 
 // Network is a resource-sharing interconnection network supporting
@@ -39,7 +46,9 @@ type Network interface {
 	// reachable through the network. On success it reserves the
 	// resource, holds the path, and returns the grant. It fails when
 	// every reachable resource is busy or every path is blocked —
-	// the two blockage sources the paper distinguishes.
+	// the two blockage sources the paper distinguishes. Either way the
+	// returned Grant's Rejects counts the attempt's in-network rejects;
+	// a failed attempt's Grant carries nothing else.
 	Acquire(pid int) (Grant, bool)
 
 	// ReleasePath tears down the network path of g after task
@@ -178,10 +187,26 @@ func NewPartitioned(subs []Network) *Partitioned {
 	}
 }
 
-// partGrant wraps a sub-network grant with its partition index.
+// partGrant wraps a sub-network grant with its partition index and
+// the partition's global processor block [lo, hi).
 type partGrant struct {
-	sub   int
-	inner Grant
+	sub, lo, hi int
+	inner       Grant
+}
+
+// Peers returns the processor block [lo, hi) of the sub-network that
+// issued g when g is a Partitioned grant: requests never cross
+// partitions, so releasing g can unblock only those processors. ok is
+// false for any other grant, meaning the whole network. Call it before
+// g's ReleaseResource, which recycles the record it reads.
+//
+//lint:hotpath read on every release
+func Peers(g Grant) (lo, hi int, ok bool) {
+	pg, ok := g.Path.(*partGrant)
+	if !ok {
+		return 0, 0, false
+	}
+	return pg.lo, pg.hi, true
 }
 
 // Acquire implements Network by delegating to pid's partition.
@@ -194,7 +219,7 @@ func (p *Partitioned) Acquire(pid int) (Grant, bool) {
 	}
 	g, ok := p.subs[sub].Acquire(pid % p.perSub)
 	if !ok {
-		return Grant{}, false
+		return Grant{Rejects: g.Rejects}, false
 	}
 	var pg *partGrant
 	if n := len(p.grantPool); n > 0 {
@@ -205,17 +230,18 @@ func (p *Partitioned) Acquire(pid int) (Grant, bool) {
 		pg = new(partGrant)
 	}
 	pg.sub, pg.inner = sub, g
+	pg.lo = sub * p.perSub
+	pg.hi = pg.lo + p.perSub
 	return Grant{
 		Processor: pid,
 		Port:      p.portBase[sub] + g.Port,
 		Path:      pg,
+		Rejects:   g.Rejects,
 	}, true
 }
 
 // AcquireWouldFail implements AvailabilityHinter by consulting pid's
-// own partition: requests never cross partitions, so a release in one
-// sub-network can only unblock that sub-network's processors — this is
-// exactly the retry-set narrowing the engine wants. A sub-network
+// own partition, the only one its requests can use. A sub-network
 // without a hint answers false (the engine falls back to Acquire).
 //
 //lint:hotpath probed by every wake pass

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"rsin/internal/bus"
+	"rsin/internal/crossbar"
 )
 
 func newTwoBusSystem() *core.Partitioned {
@@ -97,5 +98,35 @@ func TestPartitionedPanics(t *testing.T) {
 			}()
 			f()
 		})
+	}
+}
+
+// TestPeers pins core.Peers: a Partitioned grant reports its
+// partition's processor block, any other grant the whole network.
+func TestPeers(t *testing.T) {
+	const subsN, per = 3, 4
+	subs := make([]core.Network, subsN)
+	for i := range subs {
+		subs[i] = crossbar.New(per, per, 1)
+	}
+	p := core.NewPartitioned(subs)
+	for pid := 0; pid < subsN*per; pid++ {
+		g, ok := p.Acquire(pid)
+		if !ok {
+			t.Fatalf("Acquire(%d) failed on an idle system", pid)
+		}
+		lo, hi, ok := core.Peers(g)
+		if sub := pid / per; !ok || lo != sub*per || hi != (sub+1)*per {
+			t.Errorf("Peers(grant of %d) = [%d, %d) ok=%v, want [%d, %d) ok=true", pid, lo, hi, ok, sub*per, (sub+1)*per)
+		}
+		p.ReleasePath(g)
+		p.ReleaseResource(g)
+	}
+	g, ok := bus.New(2, 1).Acquire(0)
+	if !ok {
+		t.Fatal("bus Acquire failed on an idle bus")
+	}
+	if _, _, ok := core.Peers(g); ok {
+		t.Error("Peers reported a block for an unpartitioned grant")
 	}
 }

@@ -338,7 +338,8 @@ func (o *Omega) putPath(pg *pathGrant) {
 
 // Acquire implements core.Network: route a destination-less request
 // from processor pid to any eligible output port, using
-// availability-guided switching with reject/backtrack.
+// availability-guided switching with reject/backtrack. The grant's
+// Rejects counts the backtracks of this route.
 //
 //lint:hotpath called once per allocation attempt in the event loop
 func (o *Omega) Acquire(pid int) (core.Grant, bool) {
@@ -352,6 +353,7 @@ func (o *Omega) Acquire(pid int) (core.Grant, bool) {
 		o.tel.ResourceBlock++
 		return core.Grant{}, false
 	}
+	rejBefore := o.tel.Rejects
 	pg := o.takePath()
 	port, ok := o.route(0, o.entry(pid), &pg.wires)
 	if !ok {
@@ -359,7 +361,7 @@ func (o *Omega) Acquire(pid int) (core.Grant, bool) {
 		o.tel.Failures++
 		o.tel.PathBlock++
 		o.verify()
-		return core.Grant{}, false
+		return core.Grant{Rejects: o.tel.Rejects - rejBefore}, false
 	}
 	invariant.Assert(!o.portBusy[port] && o.free[port] > 0, "omega",
 		"routed to ineligible port %d (busy=%v free=%d)", port, o.portBusy[port], o.free[port])
@@ -369,7 +371,7 @@ func (o *Omega) Acquire(pid int) (core.Grant, bool) {
 	o.tel.Grants++
 	o.portGrants[port]++
 	o.verify()
-	return core.Grant{Processor: pid, Port: port, Path: pg}, true
+	return core.Grant{Processor: pid, Port: port, Path: pg, Rejects: o.tel.Rejects - rejBefore}, true
 }
 
 // AcquireWouldFail implements core.AvailabilityHinter: when every

@@ -137,7 +137,7 @@ func (to *TypedOmega) eligibleMaskType(t int) uint64 {
 // AcquireType routes a request for one resource of type t from
 // processor pid, using the same availability-guided reject/reroute
 // search as the untyped network but consulting the type-t availability
-// registers.
+// registers. The grant's Rejects counts the backtracks of this route.
 //
 //lint:hotpath called once per allocation attempt when typed networks drive the engine
 func (to *TypedOmega) AcquireType(pid, t int) (core.Grant, bool) {
@@ -154,13 +154,14 @@ func (to *TypedOmega) AcquireType(pid, t int) (core.Grant, bool) {
 		to.tel.ResourceBlock++
 		return core.Grant{}, false
 	}
+	rejBefore := to.tel.Rejects
 	pg := to.net.takePath()
 	port, ok := to.routeTyped(0, to.net.entry(pid), elig, &pg.wires)
 	if !ok {
 		to.net.putPath(pg)
 		to.tel.Failures++
 		to.tel.PathBlock++
-		return core.Grant{}, false
+		return core.Grant{Rejects: to.tel.Rejects - rejBefore}, false
 	}
 	to.net.portBusy[port] = true
 	// The substrate's untyped free counters are untouched by typed
@@ -173,7 +174,7 @@ func (to *TypedOmega) AcquireType(pid, t int) (core.Grant, bool) {
 	tg := to.takeTG()
 	tg.inner = core.Grant{Processor: pid, Port: port, Path: pg}
 	tg.typ = t
-	return core.Grant{Processor: pid, Port: port, Path: tg}, true
+	return core.Grant{Processor: pid, Port: port, Path: tg, Rejects: to.tel.Rejects - rejBefore}, true
 }
 
 // routeTyped is the DFS of route with a per-type eligibility mask.

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"rsin/internal/config"
+	"rsin/internal/core"
 	"rsin/internal/obs"
 	"rsin/internal/queueing"
 	"rsin/internal/runner"
@@ -262,6 +263,38 @@ func TestShardedAgreesWithClassicEstimator(t *testing.T) {
 	if d := relDiff(sharded.MeanQueue, classic.MeanQueue); d > 0.20 {
 		t.Errorf("MeanQueue: sharded %v vs classic %v (rel diff %.3f)", sharded.MeanQueue, classic.MeanQueue, d)
 	}
+}
+
+// TestClassicBlockingTelemetryMatchesSharded pins the two estimators'
+// routing effort on a partitioned omega system: the classic run
+// re-probes only the released sub-network's waiters, so its box visits
+// per grant count the same attempts a sharded run's sub-networks make.
+// A classic run that re-probed every sub-network's waiters on each
+// release read 10.0 visits per grant here against the sharded 6.7.
+func TestClassicBlockingTelemetryMatchesSharded(t *testing.T) {
+	netCfg := mustParse(t, "1024/16x64x64 OMEGA/1")
+	scfg := sim.Config{
+		Lambda: queueing.LambdaForIntensity(0.8, 1024, 1, 0.1, 1024), MuN: 1, MuS: 0.1,
+		Seed: 1, Warmup: 100, Samples: 20000,
+	}
+	net, err := netCfg.Build(config.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	classic, err := sim.Run(net, scfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharded, err := Run(Config{Net: netCfg, Sim: scfg, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	perGrant := func(tel core.Telemetry) float64 { return float64(tel.BoxVisits) / float64(tel.Grants) }
+	c, s := perGrant(classic.Telemetry), perGrant(sharded.Telemetry)
+	if math.Abs(c-s) > 0.1*s {
+		t.Errorf("box visits per grant: classic %.3f, sharded %.3f (more than 10%% apart)", c, s)
+	}
+	t.Logf("box visits per grant: classic %.3f, sharded %.3f", c, s)
 }
 
 func TestMergeDetailsAndDelays(t *testing.T) {

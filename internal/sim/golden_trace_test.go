@@ -31,22 +31,32 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden trace under te
 // so gzip encoder details never matter.
 const goldenTracePath = "testdata/golden_trace_p256_omega.txt.gz"
 
-// goldenTraceBytes renders the golden configuration's trace.
-func goldenTraceBytes(t *testing.T) []byte {
-	t.Helper()
+// goldenNet builds the golden configuration's network: four 64-wide
+// omega networks, partitioned.
+func goldenNet() core.Network {
 	subs := make([]core.Network, 4)
 	for i := range subs {
 		subs[i] = omega.New(64, 2)
 	}
-	net := core.NewPartitioned(subs)
-	tr := obs.NewTrace()
-	cfg := Config{
-		Lambda: queueing.LambdaForIntensity(0.7, 256, 2, 1, net.TotalResources()),
+	return core.NewPartitioned(subs)
+}
+
+// goldenConfig is the golden run's configuration, without a probe.
+func goldenConfig() Config {
+	return Config{
+		Lambda: queueing.LambdaForIntensity(0.7, 256, 2, 1, goldenNet().TotalResources()),
 		MuN:    2, MuS: 1,
 		Seed: 1983, Warmup: 20, Samples: 30,
-		Probe: tr,
 	}
-	if _, err := Run(net, cfg); err != nil {
+}
+
+// goldenTraceBytes renders the golden configuration's trace.
+func goldenTraceBytes(t *testing.T) []byte {
+	t.Helper()
+	tr := obs.NewTrace()
+	cfg := goldenConfig()
+	cfg.Probe = tr
+	if _, err := Run(goldenNet(), cfg); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer

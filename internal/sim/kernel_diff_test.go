@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"rsin/internal/bus"
@@ -113,7 +114,7 @@ func runKernelDiffCell(t *testing.T, mk func() core.Network, lambda float64, sam
 		)
 		switch kernel {
 		case "oracle":
-			res, err = runOracle(mk(), cfg, false)
+			res, err = runOracle(mk(), cfg, false, true)
 		case "heap":
 			res, err = run(mk(), cfg, &eventHeap{})
 		case "calendar":
@@ -178,6 +179,98 @@ func TestKernelDifferential(t *testing.T) {
 					runKernelDiffCell(t, net.mk, lambda, samples)
 				})
 			}
+		}
+	}
+}
+
+// TestPeersOnlyWakeMatchesFullRescan pins what waking only the
+// released grant's core.Peers range may change, against the unfiltered
+// frozen oracle, whose every release re-probes the waiters of every
+// sub-network. On a partitioned network the Result with Telemetry and
+// Details cleared must be byte-identical, raw delay samples included,
+// and the trace must be the oracle's with some reject instants removed
+// and nothing else changed. On an unpartitioned network Result and
+// trace must be identical in full.
+func TestPeersOnlyWakeMatchesFullRescan(t *testing.T) {
+	type row struct {
+		name string
+		mk   func() core.Network
+		cfg  Config
+	}
+	// The short matrix's sample counts keep the test cheap under -race;
+	// identity, not statistics, is what each row proves.
+	var rows []row
+	for _, p := range []int{16, 64, 256} {
+		for _, net := range kernelDiffNets(p) {
+			rows = append(rows, row{fmt.Sprintf("%s/p=%d", net.name, p), net.mk, Config{
+				Lambda: queueing.LambdaForIntensity(0.8, p, 2, 1, mkTotalRes(net.mk)),
+				MuN:    2, MuS: 1, Seed: 11, Warmup: 50,
+				Samples: kernelDiffSamples(p, true),
+			}})
+		}
+	}
+	rows = append(rows, row{"golden-p256", goldenNet, goldenConfig()})
+	for _, r := range rows {
+		_, partitioned := r.mk().(*core.Partitioned)
+		for _, pol := range []WakePolicy{WakeIndexOrder, WakeRandom, WakeRoundRobin} {
+			t.Run(r.name+"/"+pol.String(), func(t *testing.T) {
+				if r.mk().Processors() > 16 {
+					invariant.Enable(false)
+					defer invariant.Enable(true)
+				}
+				render := func(oracle bool) (Result, []string) {
+					tr := obs.NewTrace()
+					cfg := r.cfg
+					cfg.WakePolicy, cfg.CollectDelays, cfg.Probe = pol, true, tr
+					var (
+						res Result
+						err error
+					)
+					if oracle {
+						res, err = runOracle(r.mk(), cfg, false, false)
+					} else {
+						res, err = Run(r.mk(), cfg)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					var buf bytes.Buffer
+					if err := obs.WriteTraces(&buf, tr); err != nil {
+						t.Fatal(err)
+					}
+					lines := strings.Split(buf.String(), "\n")
+					for i, l := range lines {
+						lines[i] = strings.TrimSuffix(l, ",") // the last event has no separator
+					}
+					return res, lines
+				}
+				wantRes, wantTrace := render(true)
+				gotRes, gotTrace := render(false)
+				if partitioned {
+					wantRes.Telemetry, wantRes.Details = core.Telemetry{}, nil
+					gotRes.Telemetry, gotRes.Details = core.Telemetry{}, nil
+				}
+				if w, g := fmt.Sprintf("%+v", wantRes), fmt.Sprintf("%+v", gotRes); w != g {
+					t.Errorf("Result diverged from the unfiltered oracle:\noracle %.400s\ngot    %.400s", w, g)
+				}
+				// Match the traces greedily; every oracle line left over
+				// must be a reject instant, and only when partitioned.
+				i, dropped := 0, 0
+				for _, l := range wantTrace {
+					if i < len(gotTrace) && gotTrace[i] == l {
+						i++
+						continue
+					}
+					if !partitioned || !strings.HasPrefix(l, `{"name":"reject",`) {
+						t.Fatalf("oracle trace line %q missing from Run's trace (after %d matched lines)", l, i)
+					}
+					dropped++
+				}
+				if i != len(gotTrace) {
+					t.Fatalf("Run's trace has %d lines the oracle's lacks, from %q", len(gotTrace)-i, gotTrace[i])
+				}
+				t.Logf("%d trace lines, %d oracle reject instants dropped", len(gotTrace), dropped)
+			})
 		}
 	}
 }

@@ -22,7 +22,10 @@ import (
 //
 // Do not modify this copy when changing sim.go; it is the oracle, and
 // drifting it would hollow out the proof. It always uses the binary
-// heap.
+// heap. Two edits have been made since it was frozen, each behind a
+// parameter that restores the original when false: the legacy wake
+// selector, and the peersOnly filter, with which both wake paths skip
+// every processor outside the released grant's core.Peers range.
 
 // oracleProcState is the old kernel's per-processor struct (AoS
 // layout, growable arrival-time slice).
@@ -32,9 +35,9 @@ type oracleProcState struct {
 }
 
 // runOracle is the pre-refactor sim.Run, verbatim apart from the
-// renames to oracleProcState and oracleBlockedInvariant and the legacy
-// wake selector, which was a Config field.
-func runOracle(net core.Network, cfg Config, legacy bool) (res Result, err error) {
+// renames to oracleProcState and oracleBlockedInvariant, the legacy
+// wake selector, which was a Config field, and the peersOnly filter.
+func runOracle(net core.Network, cfg Config, legacy, peersOnly bool) (res Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			if verr := invariant.ClassifyPanic(r); verr != nil {
@@ -204,11 +207,22 @@ func runOracle(net core.Network, cfg Config, legacy bool) (res Result, err error
 		return true
 	}
 
+	// The peersOnly filter: [wakeLo, wakeHi) is the released grant's
+	// core.Peers range, or every processor.
+	wakeLo, wakeHi := 0, p
+	setWakeRange := func(g core.Grant) {
+		wakeLo, wakeHi = 0, p
+		if lo, hi, ok := core.Peers(g); peersOnly && ok {
+			wakeLo, wakeHi = lo, hi
+		}
+	}
+	outside := func(pid int) bool { return pid < wakeLo || pid >= wakeHi }
+
 	wakeLegacy := func() {
 		if cfg.RetryJitter > 0 {
 			for pid := 0; pid < p; pid++ {
 				ps := &procs[pid]
-				if retryPend[pid] || ps.transmitting || len(ps.queue) == 0 {
+				if outside(pid) || retryPend[pid] || ps.transmitting || len(ps.queue) == 0 {
 					continue
 				}
 				retryPend[pid] = true
@@ -221,7 +235,7 @@ func runOracle(net core.Network, cfg Config, legacy bool) (res Result, err error
 			for progress := true; progress; {
 				progress = false
 				for pid := 0; pid < p; pid++ {
-					if tryStart(pid) {
+					if !outside(pid) && tryStart(pid) {
 						progress = true
 					}
 				}
@@ -231,7 +245,7 @@ func runOracle(net core.Network, cfg Config, legacy bool) (res Result, err error
 			for progress := true; progress; {
 				progress = false
 				for i := 0; i < p; i++ {
-					if tryStart((rrStart + i) % p) {
+					if pid := (rrStart + i) % p; !outside(pid) && tryStart(pid) {
 						progress = true
 					}
 				}
@@ -240,7 +254,7 @@ func runOracle(net core.Network, cfg Config, legacy bool) (res Result, err error
 			for progress := true; progress; {
 				progress = false
 				for _, pid := range src.Perm(p) {
-					if tryStart(pid) {
+					if !outside(pid) && tryStart(pid) {
 						progress = true
 					}
 				}
@@ -255,7 +269,7 @@ func runOracle(net core.Network, cfg Config, legacy bool) (res Result, err error
 		}
 		if cfg.RetryJitter > 0 {
 			for pid := blocked.next(0); pid != -1; pid = blocked.next(pid + 1) {
-				if retryPend[pid] {
+				if outside(pid) || retryPend[pid] {
 					continue
 				}
 				retryPend[pid] = true
@@ -268,7 +282,7 @@ func runOracle(net core.Network, cfg Config, legacy bool) (res Result, err error
 			for progress := true; progress; {
 				progress = false
 				for pid := blocked.next(0); pid != -1; pid = blocked.next(pid + 1) {
-					if tryStart(pid) {
+					if !outside(pid) && tryStart(pid) {
 						progress = true
 					}
 				}
@@ -278,12 +292,12 @@ func runOracle(net core.Network, cfg Config, legacy bool) (res Result, err error
 			for progress := true; progress; {
 				progress = false
 				for pid := blocked.next(rrStart); pid != -1; pid = blocked.next(pid + 1) {
-					if tryStart(pid) {
+					if !outside(pid) && tryStart(pid) {
 						progress = true
 					}
 				}
 				for pid := blocked.next(0); pid != -1 && pid < rrStart; pid = blocked.next(pid + 1) {
-					if tryStart(pid) {
+					if !outside(pid) && tryStart(pid) {
 						progress = true
 					}
 				}
@@ -293,7 +307,7 @@ func runOracle(net core.Network, cfg Config, legacy bool) (res Result, err error
 				progress = false
 				src.PermInto(wakeScratch)
 				for _, pid := range wakeScratch {
-					if blocked.contains(pid) && tryStart(pid) {
+					if !outside(pid) && blocked.contains(pid) && tryStart(pid) {
 						progress = true
 					}
 				}
@@ -337,6 +351,7 @@ func runOracle(net core.Network, cfg Config, legacy bool) (res Result, err error
 			schedule(event{time: now + src.Exp(rates[e.pid]), kind: evArrival, pid: e.pid})
 		case evTxDone:
 			g := grants.get(e.gidx)
+			setWakeRange(g)
 			net.ReleasePath(g)
 			procs[e.pid].transmitting = false
 			if len(procs[e.pid].queue) > 0 {
@@ -352,6 +367,7 @@ func runOracle(net core.Network, cfg Config, legacy bool) (res Result, err error
 			wake()
 		case evSvcDone:
 			s := grants.take(e.gidx)
+			setWakeRange(s.g)
 			net.ReleaseResource(s.g)
 			inService--
 			servedTotal++

@@ -4,8 +4,9 @@
 //	(a) Poisson task arrivals per processor; exponential transmission
 //	    and service times.
 //	(b) Blocked tasks queue FIFO at their processor and retry as soon
-//	    as the network signals availability (modeled by re-attempting
-//	    allocation on every release event).
+//	    as their network signals availability (modeled by re-attempting
+//	    allocation on every release event in the processor's own
+//	    sub-network).
 //	(c) Network propagation delay is negligible: allocation decisions
 //	    are evaluated instantaneously at event times.
 //	(d,e) One resource type; one resource per request.
@@ -20,6 +21,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"rsin/internal/core"
@@ -212,7 +214,9 @@ func run(net core.Network, cfg Config, q eventQueue) (res Result, err error) {
 			panic(r)
 		}
 	}()
-	if cfg.Lambda < 0 || cfg.MuN <= 0 || cfg.MuS <= 0 {
+	// NaN fails every comparison, and the rates are non-negative past
+	// the comparisons, so their sum is infinite exactly when one is.
+	if !(cfg.Lambda >= 0 && cfg.MuN > 0 && cfg.MuS > 0) || math.IsInf(cfg.Lambda+cfg.MuN+cfg.MuS, 0) {
 		return Result{}, fmt.Errorf("sim: invalid rates λ=%g μn=%g μs=%g", cfg.Lambda, cfg.MuN, cfg.MuS)
 	}
 	rates := cfg.Lambdas
@@ -225,8 +229,8 @@ func run(net core.Network, cfg Config, q eventQueue) (res Result, err error) {
 		return Result{}, fmt.Errorf("sim: Lambdas has %d entries for %d processors", len(rates), net.Processors())
 	}
 	for pid, r := range rates {
-		if r < 0 {
-			return Result{}, fmt.Errorf("sim: negative arrival rate %g for processor %d", r, pid)
+		if !(r >= 0) || math.IsInf(r, 0) {
+			return Result{}, fmt.Errorf("sim: invalid arrival rate %g for processor %d", r, pid)
 		}
 	}
 	if cfg.Samples <= 0 {
@@ -303,12 +307,7 @@ type kernel struct {
 	arrivedTotal, servedTotal int64
 	inService                 int
 
-	// Probe support. Omega-style in-network rejects are surfaced by
-	// diffing the network's telemetry counter around each Acquire; the
-	// diff (and the TelemetrySource lookup) happens only when a probe is
-	// attached, keeping the nil fast path to a single branch per site.
-	probe  obs.Probe
-	telSrc core.TelemetrySource
+	probe obs.Probe
 }
 
 // newKernel builds the run's state and schedules every processor's
@@ -338,9 +337,6 @@ func newKernel(net core.Network, cfg Config, rates []float64, q eventQueue) kern
 	}
 	if cfg.CollectDelays {
 		k.kept = make([]float64, 0, cfg.Samples)
-	}
-	if k.probe != nil {
-		k.telSrc, _ = net.(core.TelemetrySource)
 	}
 	// Steady-state zero-allocation support: the batch-means slices are
 	// the only unbounded accumulators left, so reserve their full-run
@@ -457,14 +453,6 @@ func (k *kernel) setBusy(delta int) {
 	k.busyTW.Set(k.now, float64(k.busyPorts))
 }
 
-// rejectCount reads the network's cumulative in-network rejects.
-func (k *kernel) rejectCount() int64 {
-	if k.telSrc == nil {
-		return 0
-	}
-	return k.telSrc.Telemetry().Rejects
-}
-
 // startTx begins transmission for pid's head-of-queue task (already
 // granted). Returns the queueing delay of the task.
 //
@@ -532,35 +520,31 @@ func (k *kernel) tryStart(pid int) bool {
 		k.blocked.add(pid)
 		return false
 	}
-	var rejBefore int64
-	//lint:coldpath probe emission, nil on the measured fast path
-	if k.probe != nil {
-		rejBefore = k.rejectCount()
-	}
 	g, ok := k.net.Acquire(pid)
 	if !ok {
 		//lint:coldpath probe emission, nil on the measured fast path
-		if k.probe != nil {
-			if rej := k.rejectCount() - rejBefore; rej > 0 {
-				k.probe.Event(obs.Event{T: k.now, Kind: obs.KindReject, Pid: pid, Port: -1, Req: k.pt.arena.req[k.pt.qhead[pid]], Aux: rej})
-			}
+		if k.probe != nil && g.Rejects > 0 {
+			k.probe.Event(obs.Event{T: k.now, Kind: obs.KindReject, Pid: pid, Port: -1, Req: k.pt.arena.req[k.pt.qhead[pid]], Aux: g.Rejects})
 		}
 		k.blocked.add(pid)
 		return false
 	}
 	//lint:coldpath probe emission, nil on the measured fast path
 	if k.probe != nil {
-		k.probe.Event(obs.Event{T: k.now, Kind: obs.KindGrant, Pid: pid, Port: g.Port, Req: k.pt.arena.req[k.pt.qhead[pid]], Aux: k.rejectCount() - rejBefore})
+		k.probe.Event(obs.Event{T: k.now, Kind: obs.KindGrant, Pid: pid, Port: g.Port, Req: k.pt.arena.req[k.pt.qhead[pid]], Aux: g.Rejects})
 	}
 	k.blocked.remove(pid)
 	k.recordDelay(k.startTx(pid, g))
 	return true
 }
 
-// wake retries blocked processors after a release. It visits only the
-// registered blocked waiters, in the exact order a full rescan of all
-// p processors would reach them (the pre-incremental engine, kept as
-// runOracle's legacy mode), so results are bit-for-bit identical:
+// wake retries the blocked processors in [lo, hi) after a release:
+// the released grant's core.Peers block, which is its sub-network's
+// processors, or all p when the network is not partitioned. It visits
+// only the registered blocked waiters of the range, in the order a full
+// rescan of all p processors restricted to the range would reach them
+// (runOracle's legacy mode with the range filter), so results are
+// bit-for-bit identical:
 //
 //   - tryStart is a strict no-op (no Acquire, no RNG draw) for any
 //     processor that is transmitting or has an empty queue, so
@@ -569,22 +553,35 @@ func (k *kernel) tryStart(pid int) bool {
 //   - within a pass grants only consume network capacity, so no
 //     processor becomes blocked mid-pass and the waiter set only
 //     loses the members the pass itself grants;
-//   - the full rescan repeats passes while any pass made progress, and
-//     its hopeless re-probes land in network telemetry, so wake
-//     repeats identically rather than stopping early (the
-//     AvailabilityHinter keeps those re-probes O(1));
+//   - the full rescan repeats passes while any pass made progress, so
+//     wake does too (the AvailabilityHinter keeps a hopeless re-probe
+//     O(1));
 //   - WakeRandom draws a full permutation per pass either way
 //     (PermInto consumes exactly Perm's variates) and filters it by
-//     membership, preserving the RNG stream.
+//     range and membership, preserving the RNG stream.
+//
+// Narrowing to the range leaves every delay unchanged: each capacity
+// increase in a sub-network is followed by a wake of that sub-network,
+// which repeats passes until none grants, and arrivals and grants only
+// consume capacity, so a waiter outside the range would fail its next
+// attempt as it failed its last. A failed attempt moves only network
+// telemetry and probe events, which therefore count fewer attempts.
+// Two sub-network options void the argument, and no partitioned
+// configuration the figures or CLIs build sets either: omega's
+// LaneRandom draws from its own stream on every attempt, and
+// omega.WithoutReroute can grant on less capacity, because a lane that
+// closes sends the request down the other one.
 //
 // With RetryJitter set, retries are instead scheduled after
 // independent exponential delays — the paper's de-synchronization
-// suggestion — visiting waiters in ascending order.
+// suggestion — visiting the range's waiters in ascending order. The
+// range then also cuts the retries drawn, so jittered partitioned
+// runs draw fewer variates than a full rescan would.
 //
 //lint:hotpath post-release retry engine
-func (k *kernel) wake() {
+func (k *kernel) wake(lo, hi int) {
 	if k.cfg.RetryJitter > 0 {
-		for pid := k.blocked.next(0); pid != -1; pid = k.blocked.next(pid + 1) {
+		for pid := k.blocked.next(lo); pid != -1 && pid < hi; pid = k.blocked.next(pid + 1) {
 			if k.retryPend[pid] {
 				continue
 			}
@@ -597,7 +594,7 @@ func (k *kernel) wake() {
 	case WakeIndexOrder:
 		for progress := true; progress; {
 			progress = false
-			for pid := k.blocked.next(0); pid != -1; pid = k.blocked.next(pid + 1) {
+			for pid := k.blocked.next(lo); pid != -1 && pid < hi; pid = k.blocked.next(pid + 1) {
 				if k.tryStart(pid) {
 					progress = true
 				}
@@ -607,12 +604,12 @@ func (k *kernel) wake() {
 		k.rrStart = (k.rrStart + 1) % k.p
 		for progress := true; progress; {
 			progress = false
-			for pid := k.blocked.next(k.rrStart); pid != -1; pid = k.blocked.next(pid + 1) {
+			for pid := k.blocked.next(max(lo, k.rrStart)); pid != -1 && pid < hi; pid = k.blocked.next(pid + 1) {
 				if k.tryStart(pid) {
 					progress = true
 				}
 			}
-			for pid := k.blocked.next(0); pid != -1 && pid < k.rrStart; pid = k.blocked.next(pid + 1) {
+			for pid := k.blocked.next(lo); pid != -1 && pid < min(hi, k.rrStart); pid = k.blocked.next(pid + 1) {
 				if k.tryStart(pid) {
 					progress = true
 				}
@@ -623,12 +620,24 @@ func (k *kernel) wake() {
 			progress = false
 			k.src.PermInto(k.wakeScratch)
 			for _, pid := range k.wakeScratch {
-				if k.blocked.contains(pid) && k.tryStart(pid) {
+				if pid >= lo && pid < hi && k.blocked.contains(pid) && k.tryStart(pid) {
 					progress = true
 				}
 			}
 		}
 	}
+}
+
+// peers returns the processor block a release of g can unblock: g's
+// core.Peers range, or every processor. It must run before g's
+// ReleaseResource recycles the record core.Peers reads.
+//
+//lint:hotpath
+func (k *kernel) peers(g core.Grant) (lo, hi int) {
+	if lo, hi, ok := core.Peers(g); ok {
+		return lo, hi
+	}
+	return 0, k.p
 }
 
 // arrival queues a new task at pid, attempts to start it, and
@@ -673,6 +682,7 @@ func (k *kernel) arrival(pid int) error {
 //lint:hotpath
 func (k *kernel) txDone(pid, gi int) {
 	g := k.grants.get(gi)
+	lo, hi := k.peers(g)
 	k.net.ReleasePath(g)
 	k.pt.transmitting[pid] = false
 	if k.pt.qlen[pid] > 0 {
@@ -691,9 +701,9 @@ func (k *kernel) txDone(pid, gi int) {
 	if k.probe != nil {
 		k.probe.Event(obs.Event{T: k.now, Kind: obs.KindTransmitEnd, Pid: pid, Port: g.Port, Req: k.grants.req(gi)})
 	}
-	// The freed path (and bus) may unblock queued tasks,
-	// including this processor's own next task.
-	k.wake()
+	// The freed path (and bus) may unblock queued tasks of its
+	// sub-network, including this processor's own next task.
+	k.wake(lo, hi)
 }
 
 // svcDone completes the task served on grant gi: the resource is
@@ -702,6 +712,7 @@ func (k *kernel) txDone(pid, gi int) {
 //lint:hotpath
 func (k *kernel) svcDone(gi int) {
 	s := k.grants.take(gi)
+	lo, hi := k.peers(s.g)
 	k.net.ReleaseResource(s.g)
 	k.inService--
 	k.servedTotal++
@@ -739,8 +750,8 @@ func (k *kernel) svcDone(gi int) {
 			Wait: s.wait, Block: s.block, Tx: tx, Svc: svc,
 		})
 	}
-	// The freed resource may unblock queued tasks.
-	k.wake()
+	// The freed resource may unblock queued tasks of its sub-network.
+	k.wake(lo, hi)
 }
 
 //lint:hotpath jittered re-attempt (Config.RetryJitter)

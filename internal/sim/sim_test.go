@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"rsin/internal/bus"
@@ -164,12 +165,33 @@ func TestSaturationDetection(t *testing.T) {
 	}
 }
 
+// TestInvalidRates pins the up-front rejection of every unusable
+// rate: negative or NaN arrival rates, non-positive or NaN service
+// rates, and any infinite rate.
 func TestInvalidRates(t *testing.T) {
-	if _, err := Run(bus.New(1, 1), Config{Lambda: 1, MuN: 0, MuS: 1}); err == nil {
-		t.Error("zero MuN accepted")
-	}
-	if _, err := Run(bus.New(1, 1), Config{Lambda: -1, MuN: 1, MuS: 1}); err == nil {
-		t.Error("negative Lambda accepted")
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"zero MuN", Config{Lambda: 1, MuN: 0, MuS: 1}},
+		{"negative Lambda", Config{Lambda: -1, MuN: 1, MuS: 1}},
+		{"NaN Lambda", Config{Lambda: nan, MuN: 1, MuS: 1}},
+		{"Inf Lambda", Config{Lambda: inf, MuN: 1, MuS: 1}},
+		{"NaN MuN", Config{Lambda: 1, MuN: nan, MuS: 1}},
+		{"Inf MuN", Config{Lambda: 1, MuN: inf, MuS: 1}},
+		{"NaN MuS", Config{Lambda: 1, MuN: 1, MuS: nan}},
+		{"Inf MuS", Config{Lambda: 1, MuN: 1, MuS: inf}},
+		{"NaN Lambdas entry", Config{Lambdas: []float64{0.1, nan}, MuN: 1, MuS: 1}},
+		{"Inf Lambdas entry", Config{Lambdas: []float64{inf, 0.1}, MuN: 1, MuS: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.cfg.Samples = 10
+			_, err := Run(bus.New(2, 2), tc.cfg)
+			if err == nil || !strings.HasPrefix(err.Error(), "sim: invalid") {
+				t.Errorf("err = %v, want the invalid-rate error", err)
+			}
+		})
 	}
 }
 

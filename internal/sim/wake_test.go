@@ -153,7 +153,7 @@ func TestWakeEngineDifferential(t *testing.T) {
 							WakePolicy: pol, RetryJitter: jitter,
 							CollectDelays: true,
 						}
-						want, err := runOracle(mk(), cfg, true)
+						want, err := runOracle(mk(), cfg, true, true)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -189,7 +189,7 @@ func TestWakeEngineDifferentialTrace(t *testing.T) {
 					}
 					var err error
 					if legacy {
-						_, err = runOracle(mk(), cfg, true)
+						_, err = runOracle(mk(), cfg, true, true)
 					} else {
 						_, err = Run(mk(), cfg)
 					}
@@ -248,7 +248,7 @@ func BenchmarkWakeEngines(b *testing.B) {
 					}
 					var err error
 					if mode == "legacy" {
-						_, err = runOracle(c.mk(), cfg, true)
+						_, err = runOracle(c.mk(), cfg, true, false)
 					} else {
 						_, err = Run(c.mk(), cfg)
 					}
