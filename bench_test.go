@@ -366,17 +366,17 @@ func BenchmarkEngineThroughput(b *testing.B) {
 		{"64/1x64x64 XBAR/2 rho=0.8", "64/1x64x64 XBAR/2", 0.8, 64, 128, ""},
 		{"64/1x64x64 OMEGA/1 rho=0.8", "64/1x64x64 OMEGA/1", 0.8, 64, 64, ""},
 		{"128/1x128x128 XBAR/1 rho=0.8", "128/1x128x128 XBAR/1", 0.8, 128, 128, ""},
-		// Large-p points: the calendar-queue + SoA kernel's target regime
-		// (Run selects the calendar queue at these sizes). Omega
-		// networks cap at 64×64, so the large omega rows are partitioned
+		// Large-p points: the SoA kernel's target regime, where the
+		// event heap holds thousands of pending events. Omega networks
+		// cap at 64×64, so the large omega rows are partitioned
 		// clusters of 64-wide subnetworks.
 		{"1024/1x1024x1024 XBAR/1 rho=0.8", "1024/1x1024x1024 XBAR/1", 0.8, 1024, 1024, ""},
 		{"1024/16x64x64 OMEGA/1 rho=0.8", "1024/16x64x64 OMEGA/1", 0.8, 1024, 1024, ""},
 		{"4096/64x64x64 XBAR/1 rho=0.8", "4096/64x64x64 XBAR/1", 0.8, 4096, 4096, ""},
 		{"4096/64x64x64 OMEGA/1 rho=0.8", "4096/64x64x64 OMEGA/1", 0.8, 4096, 4096, ""},
 		// Probe-on rows: same workloads with an attribution or series
-		// recorder live, covering both queue kernels (heap at p=16,
-		// calendar at p=4096).
+		// recorder live, at both ends of the size range (p=16 and
+		// p=4096).
 		{"16/1x16x16 OMEGA/2 probe=attr", "16/1x16x16 OMEGA/2", 0.5, 16, 32, "attr"},
 		{"16/1x16x16 OMEGA/2 probe=series", "16/1x16x16 OMEGA/2", 0.5, 16, 32, "series"},
 		{"4096/64x64x64 XBAR/1 rho=0.8 probe=attr", "4096/64x64x64 XBAR/1", 0.8, 4096, 4096, "attr"},

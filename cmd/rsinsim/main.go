@@ -109,6 +109,12 @@ func main() {
 	if math.IsNaN(*lambda) || math.IsInf(*lambda, 0) {
 		fatal(fmt.Errorf("-lambda must be finite (got %g)", *lambda))
 	}
+	if math.IsNaN(*warmup) || math.IsInf(*warmup, 0) {
+		fatal(fmt.Errorf("-warmup must be finite (got %g)", *warmup))
+	}
+	if *samples < 1 {
+		fatal(fmt.Errorf("-samples must be at least 1 (got %d)", *samples))
+	}
 	if *cpuProfile != "" {
 		stop, err := obs.StartCPUProfile(*cpuProfile)
 		if err != nil {

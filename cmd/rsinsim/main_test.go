@@ -50,6 +50,11 @@ func TestRejectedInvocations(t *testing.T) {
 		{"rho Inf", []string{"-config", xbar, "-rho", "+Inf"}},
 		{"lambda NaN", []string{"-config", xbar, "-lambda", "NaN"}},
 		{"lambda Inf", []string{"-config", xbar, "-lambda", "+Inf"}},
+		{"warmup NaN", []string{"-config", xbar, "-warmup", "NaN"}},
+		{"warmup Inf", []string{"-config", xbar, "-warmup", "+Inf"}},
+		{"warmup -Inf", []string{"-config", xbar, "-warmup", "-Inf"}},
+		{"samples zero", []string{"-config", xbar, "-samples", "0"}},
+		{"samples negative", []string{"-config", xbar, "-samples", "-5"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cmd := exec.Command(os.Args[0], tc.args...)

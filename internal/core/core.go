@@ -22,6 +22,11 @@ import "fmt"
 // (paper Section II: the connection is broken after transmission while
 // the resource continues processing).
 //
+// Processor is the pid passed to the Acquire call that returned the
+// grant. Every successful Acquire must set it: sim.Run finds the
+// transmitting processor of a completed transmission through it, and
+// its invariant checks reject a grant whose Processor differs.
+//
 // Rejects is the number of in-network rejects (Omega backtracks) the
 // Acquire call that returned the grant generated, the same count it
 // added to the network's Telemetry.Rejects. Acquire sets it on failure

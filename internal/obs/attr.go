@@ -31,7 +31,7 @@ const (
 //
 // Like every simulated-time recorder it is single-threaded per run and
 // derives nothing from the wall clock, so its report is byte-identical
-// for any worker count and either event-queue kernel.
+// for any worker count.
 type AttrRecorder struct {
 	wait, block, tx, svc, resp *stats.Log2Histogram
 

@@ -39,7 +39,7 @@ const (
 //
 // Like every simulated-time recorder it is single-threaded per run and
 // consults nothing but event timestamps, so its output is
-// byte-identical for any worker count and either event-queue kernel.
+// byte-identical for any worker count.
 type SeriesRecorder struct {
 	dt   float64
 	next int64 // index of the next unemitted tick

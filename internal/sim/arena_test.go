@@ -129,9 +129,11 @@ func TestProcTableFIFO(t *testing.T) {
 }
 
 // TestHotStructuresZeroAlloc pins the per-operation allocation count of
-// the kernel's hot data structures — procTable/arena FIFO traffic and
-// calendar-queue churn at steady state — at exactly zero, once the
-// structures have grown to their peak working set.
+// the kernel's hot data structures at exactly zero once they have grown
+// to their peak working set: procTable/arena FIFO traffic, event-heap
+// churn at a steady depth, and grant-table churn at peak occupancy. The
+// hotalloc suppressions on eventHeap.push, grantTable.put and
+// grantTable.take cite this test.
 func TestHotStructuresZeroAlloc(t *testing.T) {
 	const p = 64
 	pt := newProcTable(p, 0)
@@ -150,29 +152,52 @@ func TestHotStructuresZeroAlloc(t *testing.T) {
 		t.Errorf("procTable steady state allocates %g allocs/run, want 0", avg)
 	}
 
-	q := newCalendarQueue()
-	now := 0.0
+	// The event heap at a steady depth of 3p, about one arrival timer
+	// and two in-flight completions per processor: every pop is
+	// answered by a push further out, as the kernel reschedules.
+	const depth = 3 * p
+	var h eventHeap
 	var seq uint64
-	for i := 0; i < p; i++ {
-		q.push(event{time: float64(i), seq: seq})
-		seq++
-	}
-	// Warm the ring: cycle the population through every bucket several
-	// times so each bucket slice reaches its peak capacity.
-	for i := 0; i < 8192; i++ {
-		e := q.pop()
-		now = e.time
-		q.push(event{time: now + 64.5, seq: seq})
+	for i := 0; i < depth; i++ {
+		h.push(event{time: float64(i), seq: seq})
 		seq++
 	}
 	if avg := testing.AllocsPerRun(200, func() {
 		for i := 0; i < p; i++ {
-			e := q.pop()
-			q.push(event{time: e.time + 64.5, seq: seq})
+			e := h.pop()
+			h.push(event{time: e.time + depth + 0.5, seq: seq})
 			seq++
 		}
 	}); avg != 0 {
-		t.Errorf("calendar queue steady state allocates %g allocs/run, want 0", avg)
+		t.Errorf("event heap steady state allocates %g allocs/run, want 0", avg)
+	}
+	if h.len() != depth {
+		t.Fatalf("heap depth drifted to %d, want %d", h.len(), depth)
+	}
+
+	// The grant table at peak occupancy: every slot is held, and each
+	// release is followed by a grant that reuses the freed slot. One
+	// full drain first grows the free list to its peak.
+	gt := newGrantTable()
+	for i := 0; i < p; i++ {
+		gt.put(core.Grant{Processor: i}, 0)
+	}
+	for i := 0; i < p; i++ {
+		gt.take(i)
+	}
+	for i := 0; i < p; i++ {
+		gt.put(core.Grant{Processor: i}, 0)
+	}
+	if avg := testing.AllocsPerRun(200, func() {
+		for i := 0; i < p; i++ {
+			s := gt.take(i)
+			gt.put(s.g, 1)
+		}
+	}); avg != 0 {
+		t.Errorf("grant table steady state allocates %g allocs/run, want 0", avg)
+	}
+	if out := gt.outstanding(); out != p {
+		t.Fatalf("grant table holds %d grants, want %d", out, p)
 	}
 }
 
@@ -184,55 +209,63 @@ func TestHotStructuresZeroAlloc(t *testing.T) {
 // capacity design makes allocation-free. Buses and crossbars grant
 // without per-grant path records; omega networks and the Partitioned
 // combinator recycle their grant records through pools (warmed within
-// the short run, so the differential cancels the mints too).
+// the short run, so the differential cancels the mints too). The
+// CollectDelays row, on the XBAR network, pins recordDelay's append
+// into the sample buffer newKernel reserves.
 func TestRunSteadyStateZeroAlloc(t *testing.T) {
 	invariant.Enable(false)
 	defer invariant.Enable(true)
-	mallocs := func(mk func() core.Network, mkQueue func() eventQueue, samples int) uint64 {
+	mallocs := func(mk func() core.Network, collect bool, samples int) uint64 {
 		cfg := Config{
 			Lambda: 0.2, MuN: 2, MuS: 1,
 			Seed: 5, Warmup: 100, Samples: samples,
+			CollectDelays: collect,
 		}
 		runtime.GC()
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
-		if _, err := run(mk(), cfg, mkQueue()); err != nil {
+		res, err := Run(mk(), cfg)
+		if err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&m1)
+		// Doubling growth would hide under the slack below; the
+		// buffer's capacity shows it was reserved once.
+		if collect && cap(res.Delays) != samples {
+			t.Errorf("Delays capacity %d after %d samples, want the reserved %d", cap(res.Delays), samples, samples)
+		}
 		return m1.Mallocs - m0.Mallocs
 	}
-	nets := map[string]func() core.Network{
-		"SBUS":  func() core.Network { return bus.New(64, 128) },
-		"XBAR":  func() core.Network { return crossbar.New(64, 32, 1) },
-		"OMEGA": func() core.Network { return omega.New(64, 2) },
-		"PART": func() core.Network {
+	xbar := func() core.Network { return crossbar.New(64, 32, 1) }
+	for _, c := range []struct {
+		name    string
+		mk      func() core.Network
+		collect bool
+	}{
+		{"SBUS", func() core.Network { return bus.New(64, 128) }, false},
+		{"XBAR", xbar, false},
+		{"OMEGA", func() core.Network { return omega.New(64, 2) }, false},
+		{"PART", func() core.Network {
 			subs := make([]core.Network, 4)
 			for i := range subs {
 				subs[i] = bus.New(16, 32)
 			}
 			return core.NewPartitioned(subs)
-		},
-	}
-	queues := map[string]func() eventQueue{
-		"heap":     func() eventQueue { return &eventHeap{} },
-		"calendar": func() eventQueue { return newCalendarQueue() },
-	}
-	for name, mk := range nets {
-		for kind, mkQueue := range queues {
-			t.Run(name+"/"+kind, func(t *testing.T) {
-				const n = 20000
-				base := mallocs(mk, mkQueue, n)
-				big := mallocs(mk, mkQueue, 3*n)
-				// Slack absorbs runtime-internal allocations (GC metadata,
-				// timer wheels); a single alloc per event would show up as
-				// tens of thousands.
-				const slack = 200
-				if big > base+slack {
-					t.Errorf("mallocs grew with samples: %d @ %d samples vs %d @ %d samples",
-						base, n, big, 3*n)
-				}
-			})
-		}
+		}, false},
+		{"CollectDelays", xbar, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			const n = 20000
+			base := mallocs(c.mk, c.collect, n)
+			big := mallocs(c.mk, c.collect, 3*n)
+			// Slack absorbs runtime-internal allocations (GC metadata,
+			// timer wheels); a single alloc per event would show up as
+			// tens of thousands.
+			const slack = 200
+			if big > base+slack {
+				t.Errorf("mallocs grew with samples: %d @ %d samples vs %d @ %d samples",
+					base, n, big, 3*n)
+			}
+		})
 	}
 }

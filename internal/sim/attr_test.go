@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"bytes"
 	"testing"
 
 	"rsin/internal/bus"
@@ -82,47 +81,6 @@ func TestCompleteEventsReconcileExactly(t *testing.T) {
 				t.Fatalf("recomputed response CI %+v != Result.Response %+v", got, want)
 			}
 		})
-	}
-}
-
-// TestAttrAndSeriesBytesIdenticalAcrossKernels proves the new
-// recorders inherit the engine's kernel-independence: the heap and the
-// calendar queue must produce byte-identical attribution and series
-// documents at a p large enough that Run picks the calendar.
-func TestAttrAndSeriesBytesIdenticalAcrossKernels(t *testing.T) {
-	render := func(q eventQueue) ([]byte, []byte) {
-		const p = 128
-		subs := make([]core.Network, 2)
-		for i := range subs {
-			subs[i] = omega.New(64, 2)
-		}
-		attr := obs.NewAttrRecorder(10)
-		series := obs.NewSeriesRecorder(p, 5)
-		cfg := Config{
-			Lambda: 0.3, MuN: 2, MuS: 1, Seed: 42,
-			Warmup: 40, Samples: 2500,
-			Probe: obs.Multi(attr, series),
-		}
-		res, err := run(core.NewPartitioned(subs), cfg, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var ab, sb bytes.Buffer
-		if err := obs.WriteAttributions(&ab, []obs.Attribution{attr.Report("run", nil)}); err != nil {
-			t.Fatal(err)
-		}
-		if err := obs.WriteSeries(&sb, []obs.Series{series.Finish("run", res.SimTime)}); err != nil {
-			t.Fatal(err)
-		}
-		return ab.Bytes(), sb.Bytes()
-	}
-	heapAttr, heapSeries := render(&eventHeap{})
-	calAttr, calSeries := render(newCalendarQueue())
-	if !bytes.Equal(heapAttr, calAttr) {
-		t.Error("attribution reports differ between heap and calendar kernels")
-	}
-	if !bytes.Equal(heapSeries, calSeries) {
-		t.Error("series documents differ between heap and calendar kernels")
 	}
 }
 

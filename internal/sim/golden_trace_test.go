@@ -19,16 +19,17 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite the golden trace under testdata/")
 
 // goldenTracePath is the committed event trace (gzipped; traces are
-// highly repetitive text) of a p=256 partitioned omega run. p ≥
-// calendarAutoP, so Run routes this through the calendar queue: the
-// file pins the full observable event stream — every attempt, reject,
+// highly repetitive text) of a p=256 partitioned omega run. The file
+// pins the full observable event stream — every attempt, reject,
 // grant, and completion with timestamps — of the large-p code path
-// (SoA state, arena, calendar queue, partition hint delegation)
-// against accidental drift between commits. The kernel
-// differential matrix proves heap/calendar/oracle agree with each other
-// within one build; this file proves today's build agrees with the
-// build that committed it. Comparison is over the uncompressed bytes,
-// so gzip encoder details never matter.
+// (SoA state, arena, event heap, partition hint delegation) against
+// accidental drift between commits. It was committed when Run used a
+// calendar queue at this p, and still matches: any correct priority
+// queue pops the unique (time, seq) keys in the same order. The kernel
+// differential matrix proves Run and the frozen oracle agree within
+// one build; this file proves today's build agrees with the build that
+// committed it. Comparison is over the uncompressed bytes, so gzip
+// encoder details never matter.
 const goldenTracePath = "testdata/golden_trace_p256_omega.txt.gz"
 
 // goldenNet builds the golden configuration's network: four 64-wide

@@ -19,7 +19,7 @@ func FuzzEventHeap(f *testing.F) {
 		for i := 0; i+1 < len(data); i += 2 {
 			op, val := data[i], data[i+1]
 			if op%2 == 0 {
-				e := event{time: float64(val), seq: seq, pid: int(op)}
+				e := event{time: float64(val), seq: seq, ref: int32(op)}
 				seq++
 				h.push(e)
 				ref = append(ref, e)

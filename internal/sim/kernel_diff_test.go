@@ -16,20 +16,21 @@ import (
 )
 
 // This file is the kernel differential matrix: the acceptance proof for
-// the SoA + arena + calendar-queue refactor. For every network class ×
-// processor count × traffic intensity cell it runs three kernels over
-// the same workload —
+// the kernel's data-structure rewrites (SoA processor state, task arena,
+// compact event heap). For every network class × processor count ×
+// traffic intensity cell it runs two kernels over the same workload —
 //
-//   - runOracle: the frozen pre-refactor kernel (AoS procs, binary heap),
-//   - run on an eventHeap: the SoA kernel on the binary heap,
-//   - run on a calendarQueue: the SoA kernel on the calendar queue,
+//   - runOracle: the frozen pre-refactor kernel (AoS procs, its own
+//     40-byte events on a swap-based binary heap),
+//   - Run: the production kernel (SoA procs, 24-byte events on a
+//     hole-sifting binary heap),
 //
 // and requires the rendered Result (every metric, telemetry counter,
 // and raw delay sample) and the rendered obs trace bytes (every grant,
-// reject, and timestamp, in order) to be identical across all three.
-// Result equality pins the SoA/arena rewrite; trace equality pins event
-// ordering, including (time, seq) ties, which is exactly where a
-// calendar queue can silently diverge from a heap.
+// reject, and timestamp, in order) to be identical. Result equality
+// pins the SoA/arena rewrite; trace equality pins event ordering,
+// including (time, seq) ties, which is exactly where a changed event
+// queue can silently diverge.
 
 // kernelDiffNet is one network class instantiated for a given p.
 type kernelDiffNet struct {
@@ -95,11 +96,11 @@ func kernelDiffSamples(p int, short bool) int {
 	return n
 }
 
-// runKernelDiffCell runs one matrix cell through all three kernels and
+// runKernelDiffCell runs one matrix cell through both kernels and
 // fails the test on any Result or trace divergence.
 func runKernelDiffCell(t *testing.T, mk func() core.Network, lambda float64, samples int) {
 	t.Helper()
-	render := func(kernel string) (string, []byte) {
+	render := func(oracle bool) (string, []byte) {
 		tr := obs.NewTrace()
 		cfg := Config{
 			Lambda: lambda, MuN: 2, MuS: 1,
@@ -112,13 +113,10 @@ func runKernelDiffCell(t *testing.T, mk func() core.Network, lambda float64, sam
 			res Result
 			err error
 		)
-		switch kernel {
-		case "oracle":
+		if oracle {
 			res, err = runOracle(mk(), cfg, false, true)
-		case "heap":
-			res, err = run(mk(), cfg, &eventHeap{})
-		case "calendar":
-			res, err = run(mk(), cfg, newCalendarQueue())
+		} else {
+			res, err = Run(mk(), cfg)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -129,17 +127,13 @@ func runKernelDiffCell(t *testing.T, mk func() core.Network, lambda float64, sam
 		}
 		return fmt.Sprintf("%+v", res), buf.Bytes()
 	}
-	wantRes, wantTrace := render("oracle")
-	for _, kernel := range []string{"heap", "calendar"} {
-		gotRes, gotTrace := render(kernel)
-		if gotRes != wantRes {
-			t.Errorf("%s kernel Result diverged from oracle:\noracle %.400s\ngot    %.400s",
-				kernel, wantRes, gotRes)
-		}
-		if !bytes.Equal(gotTrace, wantTrace) {
-			t.Errorf("%s kernel trace bytes diverged from oracle (%d vs %d bytes)",
-				kernel, len(gotTrace), len(wantTrace))
-		}
+	wantRes, wantTrace := render(true)
+	gotRes, gotTrace := render(false)
+	if gotRes != wantRes {
+		t.Errorf("Run's Result diverged from oracle:\noracle %.400s\ngot    %.400s", wantRes, gotRes)
+	}
+	if !bytes.Equal(gotTrace, wantTrace) {
+		t.Errorf("Run's trace bytes diverged from oracle (%d vs %d bytes)", len(gotTrace), len(wantTrace))
 	}
 	if len(wantTrace) == 0 {
 		t.Fatal("oracle produced an empty trace")

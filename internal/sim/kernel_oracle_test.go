@@ -22,10 +22,75 @@ import (
 //
 // Do not modify this copy when changing sim.go; it is the oracle, and
 // drifting it would hollow out the proof. It always uses the binary
-// heap. Two edits have been made since it was frozen, each behind a
-// parameter that restores the original when false: the legacy wake
+// heap. Three edits have been made since it was frozen. Two sit behind
+// a parameter that restores the original when false: the legacy wake
 // selector, and the peersOnly filter, with which both wake paths skip
-// every processor outside the released grant's core.Peers range.
+// every processor outside the released grant's core.Peers range. The
+// third gave the oracle private copies of the event record and the
+// swap-based heap it was frozen with (oracleEvent, oracleHeap), when
+// the kernel moved to a 24-byte event and a hole-sifting heap.
+
+// oracleEvent is the frozen kernel's 40-byte event record.
+type oracleEvent struct {
+	time float64
+	seq  uint64 // FIFO tie-breaker for deterministic ordering
+	kind eventKind
+	pid  int // processor concerned (arrival, txDone)
+	gidx int // grant table index (txDone, svcDone)
+}
+
+// oracleHeap is the frozen kernel's swap-based binary min-heap ordered
+// by (time, seq), verbatim apart from the renames and its lint
+// directives (rsinlint does not load test files).
+type oracleHeap struct {
+	items []oracleEvent
+}
+
+func (h *oracleHeap) len() int { return len(h.items) }
+
+func (h *oracleHeap) less(a, b oracleEvent) bool {
+	if a.time != b.time {
+		return a.time < b.time
+	}
+	return a.seq < b.seq
+}
+
+func (h *oracleHeap) push(e oracleEvent) {
+	h.items = append(h.items, e)
+	i := len(h.items) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !h.less(h.items[i], h.items[parent]) {
+			break
+		}
+		h.items[i], h.items[parent] = h.items[parent], h.items[i]
+		i = parent
+	}
+}
+
+func (h *oracleHeap) pop() oracleEvent {
+	top := h.items[0]
+	last := len(h.items) - 1
+	h.items[0] = h.items[last]
+	h.items = h.items[:last]
+	i := 0
+	for {
+		l, r := 2*i+1, 2*i+2
+		smallest := i
+		if l < last && h.less(h.items[l], h.items[smallest]) {
+			smallest = l
+		}
+		if r < last && h.less(h.items[r], h.items[smallest]) {
+			smallest = r
+		}
+		if smallest == i {
+			break
+		}
+		h.items[i], h.items[smallest] = h.items[smallest], h.items[i]
+		i = smallest
+	}
+	return top
+}
 
 // oracleProcState is the old kernel's per-processor struct (AoS
 // layout, growable arrival-time slice).
@@ -35,8 +100,9 @@ type oracleProcState struct {
 }
 
 // runOracle is the pre-refactor sim.Run, verbatim apart from the
-// renames to oracleProcState and oracleBlockedInvariant, the legacy
-// wake selector, which was a Config field, and the peersOnly filter.
+// renames to oracleProcState, oracleBlockedInvariant, oracleEvent and
+// oracleHeap, the legacy wake selector, which was a Config field, and
+// the peersOnly filter.
 func runOracle(net core.Network, cfg Config, legacy, peersOnly bool) (res Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -92,7 +158,7 @@ func runOracle(net core.Network, cfg Config, legacy, peersOnly bool) (res Result
 	}
 
 	var (
-		h         eventHeap
+		h         oracleHeap
 		seq       uint64
 		now       float64
 		delays    = stats.NewBatchMeans(int64(cfg.BatchSize))
@@ -111,7 +177,7 @@ func runOracle(net core.Network, cfg Config, legacy, peersOnly bool) (res Result
 		servedTotal  int64
 		inService    int
 	)
-	schedule := func(e event) {
+	schedule := func(e oracleEvent) {
 		e.seq = seq
 		seq++
 		h.push(e)
@@ -141,7 +207,7 @@ func runOracle(net core.Network, cfg Config, legacy, peersOnly bool) (res Result
 
 	for pid := 0; pid < p; pid++ {
 		if rates[pid] > 0 {
-			schedule(event{time: src.Exp(rates[pid]), kind: evArrival, pid: pid})
+			schedule(oracleEvent{time: src.Exp(rates[pid]), kind: evArrival, pid: pid})
 		}
 	}
 
@@ -153,7 +219,7 @@ func runOracle(net core.Network, cfg Config, legacy, peersOnly bool) (res Result
 		ps.transmitting = true
 		setBusy(1)
 		gi := grants.put(g, arrivedAt)
-		schedule(event{time: now + src.Exp(cfg.MuN), kind: evTxDone, pid: pid, gidx: gi})
+		schedule(oracleEvent{time: now + src.Exp(cfg.MuN), kind: evTxDone, pid: pid, gidx: gi})
 		d := now - arrivedAt
 		if probe != nil {
 			probe.Event(obs.Event{T: now, Kind: obs.KindTransmitStart, Pid: pid, Port: g.Port, Dur: d})
@@ -226,7 +292,7 @@ func runOracle(net core.Network, cfg Config, legacy, peersOnly bool) (res Result
 					continue
 				}
 				retryPend[pid] = true
-				schedule(event{time: now + src.Exp(1/cfg.RetryJitter), kind: evRetry, pid: pid})
+				schedule(oracleEvent{time: now + src.Exp(1/cfg.RetryJitter), kind: evRetry, pid: pid})
 			}
 			return
 		}
@@ -273,7 +339,7 @@ func runOracle(net core.Network, cfg Config, legacy, peersOnly bool) (res Result
 					continue
 				}
 				retryPend[pid] = true
-				schedule(event{time: now + src.Exp(1/cfg.RetryJitter), kind: evRetry, pid: pid})
+				schedule(oracleEvent{time: now + src.Exp(1/cfg.RetryJitter), kind: evRetry, pid: pid})
 			}
 			return
 		}
@@ -348,7 +414,7 @@ func runOracle(net core.Network, cfg Config, legacy, peersOnly bool) (res Result
 				probe.Event(obs.Event{T: now, Kind: obs.KindEnqueue, Pid: e.pid, Port: -1, Aux: int64(len(ps.queue))})
 			}
 			tryStart(e.pid)
-			schedule(event{time: now + src.Exp(rates[e.pid]), kind: evArrival, pid: e.pid})
+			schedule(oracleEvent{time: now + src.Exp(rates[e.pid]), kind: evArrival, pid: e.pid})
 		case evTxDone:
 			g := grants.get(e.gidx)
 			setWakeRange(g)
@@ -360,7 +426,7 @@ func runOracle(net core.Network, cfg Config, legacy, peersOnly bool) (res Result
 			setBusy(-1)
 			inService++
 			grants.markTx(e.gidx, now)
-			schedule(event{time: now + src.Exp(cfg.MuS), kind: evSvcDone, gidx: e.gidx})
+			schedule(oracleEvent{time: now + src.Exp(cfg.MuS), kind: evSvcDone, gidx: e.gidx})
 			if probe != nil {
 				probe.Event(obs.Event{T: now, Kind: obs.KindTransmitEnd, Pid: e.pid, Port: g.Port})
 			}

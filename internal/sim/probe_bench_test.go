@@ -51,11 +51,11 @@ func BenchmarkRunProbe(b *testing.B) {
 		})
 	})
 
-	// The large-p calendar-queue shape: 64 partitioned 64-port
-	// crossbars (p=4096), where Run picks the calendar queue and
-	// the per-event probe branch competes with a much hotter event
-	// loop. Guards the probe-on overhead story beyond the small
-	// reference system.
+	// The large-p shape: 64 partitioned 64-port crossbars (p=4096),
+	// where the event heap holds thousands of pending events and the
+	// per-event probe branch competes with a much hotter event loop.
+	// Guards the probe-on overhead story beyond the small reference
+	// system.
 	largeCfg := Config{
 		Lambda:  0.25,
 		MuN:     4,

@@ -188,20 +188,18 @@ var ErrSaturated = errors.New("sim: queue exceeded MaxQueue; system appears satu
 // The kernel is allocation-free in steady state: processor state lives
 // in struct-of-arrays form (procTable), queued tasks in a free-list
 // arena (taskArena), in-flight grants in the slot-reusing grantTable,
-// and both event-queue implementations retain their capacity — so once
-// the structures have grown to the run's peak backlog, the event loop
-// performs zero heap allocations. arena_test.go pins this with
-// testing.AllocsPerRun and a whole-run malloc-delta check, and the
-// kernel differential matrix in kernel_diff_test.go proves the layout
-// refactor changed no observable byte: Results and obs traces are
-// identical to the retained pre-refactor kernel (runOracle).
-func Run(net core.Network, cfg Config) (Result, error) {
-	return run(net, cfg, newEventQueue(net.Processors()))
-}
-
-// run is Run on a given pending-event structure; tests pass a specific
-// queue to compare the two implementations at the same p.
-func run(net core.Network, cfg Config, q eventQueue) (res Result, err error) {
+// and the event heap retains its capacity — so once the structures
+// have grown to the run's peak backlog, the event loop performs zero
+// heap allocations. arena_test.go pins this with testing.AllocsPerRun
+// and a whole-run malloc-delta check, and the kernel differential
+// matrix in kernel_diff_test.go proves the layout refactor changed no
+// observable byte: Results and obs traces are identical to the retained
+// pre-refactor kernel (runOracle).
+//
+// Events carry processor and grant-table indexes as int32, so Run
+// rejects a network with more than math.MaxInt32 processors or
+// resources; outstanding grants never exceed the resource count.
+func Run(net core.Network, cfg Config) (res Result, err error) {
 	// Invariant violations inside the network models and accumulators
 	// surface as panics (invariant.Assert, stats.ErrTimeBackwards);
 	// convert the ones we recognize into errors and re-raise the rest.
@@ -214,10 +212,19 @@ func run(net core.Network, cfg Config, q eventQueue) (res Result, err error) {
 			panic(r)
 		}
 	}()
+	if p, r := net.Processors(), net.TotalResources(); p > math.MaxInt32 || r > math.MaxInt32 {
+		return Result{}, fmt.Errorf("sim: network too large: %d processors, %d resources (limit %d)", p, r, math.MaxInt32)
+	}
 	// NaN fails every comparison, and the rates are non-negative past
 	// the comparisons, so their sum is infinite exactly when one is.
 	if !(cfg.Lambda >= 0 && cfg.MuN > 0 && cfg.MuS > 0) || math.IsInf(cfg.Lambda+cfg.MuN+cfg.MuS, 0) {
 		return Result{}, fmt.Errorf("sim: invalid rates λ=%g μn=%g μs=%g", cfg.Lambda, cfg.MuN, cfg.MuS)
+	}
+	// A NaN or +Inf warmup never ends, so no sample would ever be
+	// collected and the run would never return. -Inf is rejected with
+	// them; a warmup of 0 says the same.
+	if math.IsNaN(cfg.Warmup) || math.IsInf(cfg.Warmup, 0) {
+		return Result{}, fmt.Errorf("sim: invalid warmup %g", cfg.Warmup)
 	}
 	rates := cfg.Lambdas
 	if rates == nil {
@@ -245,7 +252,7 @@ func run(net core.Network, cfg Config, q eventQueue) (res Result, err error) {
 	if cfg.MaxQueue <= 0 {
 		cfg.MaxQueue = 1 << 20
 	}
-	k := newKernel(net, cfg, rates, q)
+	k := newKernel(net, cfg, rates)
 	if err := k.loop(); err != nil {
 		return Result{}, err
 	}
@@ -271,7 +278,7 @@ type kernel struct {
 	rates     []float64 // per-processor arrival rates
 	p         int       // processor count
 	src       *rng.Source
-	q         eventQueue
+	q         eventHeap
 	seq       uint64 // events scheduled so far: the FIFO tie-breaker
 	now       float64
 	pt        *procTable
@@ -316,12 +323,11 @@ type kernel struct {
 // allocation per run. Its tables stay behind pointers: embedded by
 // value they made BenchmarkEngineThroughput's p=16 SBUS and XBAR runs
 // about 5% slower (medians of 24 alternating runs, Intel Xeon 2-vCPU).
-func newKernel(net core.Network, cfg Config, rates []float64, q eventQueue) kernel {
+func newKernel(net core.Network, cfg Config, rates []float64) kernel {
 	p := net.Processors()
 	k := kernel{
 		net: net, cfg: cfg, rates: rates, p: p,
 		src:       rng.New(cfg.Seed),
-		q:         q,
 		pt:        newProcTable(p, p),
 		grants:    newGrantTable(),
 		retryPend: make([]bool, p),
@@ -348,7 +354,7 @@ func newKernel(net core.Network, cfg Config, rates []float64, q eventQueue) kern
 	k.busyTW.Set(0, 0)
 	for pid, r := range rates {
 		if r > 0 {
-			k.schedule(event{time: k.src.Exp(r), kind: evArrival, pid: pid})
+			k.schedule(event{time: k.src.Exp(r), kind: evArrival, ref: int32(pid)})
 		}
 	}
 	return k
@@ -375,15 +381,15 @@ func (k *kernel) loop() error {
 		}
 		switch e.kind {
 		case evArrival:
-			if err := k.arrival(e.pid); err != nil {
+			if err := k.arrival(int(e.ref)); err != nil {
 				return err
 			}
 		case evTxDone:
-			k.txDone(e.pid, e.gidx)
+			k.txDone(int(e.ref))
 		case evSvcDone:
-			k.svcDone(e.gidx)
+			k.svcDone(int(e.ref))
 		case evRetry:
-			k.retry(e.pid)
+			k.retry(int(e.ref))
 		}
 		if invariant.Enabled() {
 			if verr := blockedInvariant(k.pt, k.blocked); verr != nil {
@@ -458,13 +464,17 @@ func (k *kernel) setBusy(delta int) {
 //
 //lint:hotpath grant-to-transmission turnaround
 func (k *kernel) startTx(pid int, g core.Grant) float64 {
+	if invariant.Enabled() {
+		// txDone finds the transmitting processor through the grant.
+		invariant.Assert(g.Processor == pid, "sim", "Acquire(%d) returned a grant for processor %d", pid, g.Processor)
+	}
 	eligibleAt := k.headSince[pid]
 	arrivedAt, req := k.pt.popFront(pid)
 	k.setQ(-1)
 	k.pt.transmitting[pid] = true
 	k.setBusy(1)
 	gi := k.grants.put(g, arrivedAt)
-	k.schedule(event{time: k.now + k.src.Exp(k.cfg.MuN), kind: evTxDone, pid: pid, gidx: gi})
+	k.schedule(event{time: k.now + k.src.Exp(k.cfg.MuN), kind: evTxDone, ref: int32(gi)})
 	d := k.now - arrivedAt
 	//lint:coldpath probe emission, nil on the measured fast path
 	if k.probe != nil {
@@ -586,7 +596,7 @@ func (k *kernel) wake(lo, hi int) {
 				continue
 			}
 			k.retryPend[pid] = true
-			k.schedule(event{time: k.now + k.src.Exp(1/k.cfg.RetryJitter), kind: evRetry, pid: pid})
+			k.schedule(event{time: k.now + k.src.Exp(1/k.cfg.RetryJitter), kind: evRetry, ref: int32(pid)})
 		}
 		return
 	}
@@ -672,16 +682,18 @@ func (k *kernel) arrival(pid int) error {
 		k.probe.Event(obs.Event{T: k.now, Kind: obs.KindEnqueue, Pid: pid, Port: -1, Req: req, Aux: int64(k.pt.queued(pid))})
 	}
 	k.tryStart(pid)
-	k.schedule(event{time: k.now + k.src.Exp(k.rates[pid]), kind: evArrival, pid: pid})
+	k.schedule(event{time: k.now + k.src.Exp(k.rates[pid]), kind: evArrival, ref: int32(pid)})
 	return nil
 }
 
-// txDone ends pid's transmission on grant gi: the path is released,
-// the task's service begins, and blocked waiters retry.
+// txDone ends the transmission on grant gi: the path is released,
+// the task's service begins, and blocked waiters retry. The
+// transmitting processor is the grant's Processor.
 //
 //lint:hotpath
-func (k *kernel) txDone(pid, gi int) {
+func (k *kernel) txDone(gi int) {
 	g := k.grants.get(gi)
+	pid := g.Processor
 	lo, hi := k.peers(g)
 	k.net.ReleasePath(g)
 	k.pt.transmitting[pid] = false
@@ -696,7 +708,7 @@ func (k *kernel) txDone(pid, gi int) {
 	k.setBusy(-1)
 	k.inService++
 	k.grants.markTx(gi, k.now)
-	k.schedule(event{time: k.now + k.src.Exp(k.cfg.MuS), kind: evSvcDone, gidx: gi})
+	k.schedule(event{time: k.now + k.src.Exp(k.cfg.MuS), kind: evSvcDone, ref: int32(gi)})
 	//lint:coldpath probe emission, nil on the measured fast path
 	if k.probe != nil {
 		k.probe.Event(obs.Event{T: k.now, Kind: obs.KindTransmitEnd, Pid: pid, Port: g.Port, Req: k.grants.req(gi)})

@@ -3,12 +3,14 @@ package sim
 import (
 	"errors"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
 	"rsin/internal/bus"
 	"rsin/internal/core"
 	"rsin/internal/crossbar"
+	"rsin/internal/invariant"
 	"rsin/internal/markov"
 	"rsin/internal/queueing"
 )
@@ -32,11 +34,11 @@ func TestHeapOrdering(t *testing.T) {
 func TestHeapFIFOTieBreak(t *testing.T) {
 	var h eventHeap
 	for i := 0; i < 10; i++ {
-		h.push(event{time: 1, seq: uint64(i), pid: i})
+		h.push(event{time: 1, seq: uint64(i), ref: int32(i)})
 	}
 	for i := 0; i < 10; i++ {
-		if e := h.pop(); e.pid != i {
-			t.Fatalf("tie-break not FIFO: got pid %d at pop %d", e.pid, i)
+		if e := h.pop(); e.ref != int32(i) {
+			t.Fatalf("tie-break not FIFO: got ref %d at pop %d", e.ref, i)
 		}
 	}
 }
@@ -167,7 +169,8 @@ func TestSaturationDetection(t *testing.T) {
 
 // TestInvalidRates pins the up-front rejection of every unusable
 // rate: negative or NaN arrival rates, non-positive or NaN service
-// rates, and any infinite rate.
+// rates, and any infinite rate. A non-finite warmup is rejected with
+// them: a NaN or +Inf one never ends, so the run would never return.
 func TestInvalidRates(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	for _, tc := range []struct {
@@ -184,14 +187,66 @@ func TestInvalidRates(t *testing.T) {
 		{"Inf MuS", Config{Lambda: 1, MuN: 1, MuS: inf}},
 		{"NaN Lambdas entry", Config{Lambdas: []float64{0.1, nan}, MuN: 1, MuS: 1}},
 		{"Inf Lambdas entry", Config{Lambdas: []float64{inf, 0.1}, MuN: 1, MuS: 1}},
+		{"NaN Warmup", Config{Lambda: 1, MuN: 1, MuS: 1, Warmup: nan}},
+		{"Inf Warmup", Config{Lambda: 1, MuN: 1, MuS: 1, Warmup: inf}},
+		{"-Inf Warmup", Config{Lambda: 1, MuN: 1, MuS: 1, Warmup: -inf}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.cfg.Samples = 10
 			_, err := Run(bus.New(2, 2), tc.cfg)
 			if err == nil || !strings.HasPrefix(err.Error(), "sim: invalid") {
-				t.Errorf("err = %v, want the invalid-rate error", err)
+				t.Errorf("err = %v, want a \"sim: invalid\" error", err)
 			}
 		})
+	}
+}
+
+// sizedNet is a neverNet that also claims a resource count.
+type sizedNet struct {
+	neverNet
+	res int
+}
+
+func (n *sizedNet) TotalResources() int { return n.res }
+
+// TestRunRejectsOversizedNetwork pins the int32 bound on the indexes
+// events carry: a network with more processors or resources than
+// math.MaxInt32 is rejected before Run allocates per-processor state,
+// which at that size would exhaust memory.
+func TestRunRejectsOversizedNetwork(t *testing.T) {
+	if strconv.IntSize == 32 {
+		t.Skip("int cannot exceed math.MaxInt32")
+	}
+	for _, n := range []*sizedNet{
+		{neverNet: neverNet{procs: math.MaxInt}, res: 1},
+		{neverNet: neverNet{procs: 2}, res: math.MaxInt},
+	} {
+		_, err := Run(n, Config{Lambda: 1, MuN: 1, MuS: 1, Samples: 10})
+		if err == nil || !strings.HasPrefix(err.Error(), "sim: network too large") {
+			t.Errorf("%d processors, %d resources: err = %v, want the too-large error",
+				n.Processors(), n.TotalResources(), err)
+		}
+	}
+}
+
+// misattributingNet grants like a bus but stamps every grant with
+// processor 0.
+type misattributingNet struct{ *bus.Bus }
+
+func (n misattributingNet) Acquire(pid int) (core.Grant, bool) {
+	g, ok := n.Bus.Acquire(pid)
+	g.Processor = 0
+	return g, ok
+}
+
+// TestRunRejectsMisattributedGrant pins the invariant check behind the
+// kernel's reliance on core.Grant.Processor: a transmission's end is
+// routed to the grant's processor, so a grant stamped with another
+// processor is a model bug, reported instead of corrupting state.
+func TestRunRejectsMisattributedGrant(t *testing.T) {
+	_, err := Run(misattributingNet{bus.New(4, 4)}, Config{Lambda: 0.1, MuN: 1, MuS: 1, Seed: 1, Samples: 100})
+	if !invariant.Is(err) {
+		t.Fatalf("err = %v, want an invariant violation", err)
 	}
 }
 
