@@ -114,9 +114,11 @@ type TelemetrySource interface {
 //     in this case.
 //
 // Implementations are expected to answer in O(1) from incrementally
-// maintained state; that is the whole point of the interface, since the
-// failure paths it short-circuits are O(ports) scans on the crossbar
-// and Omega networks.
+// maintained state. Omega's Acquire and the crossbar's FirstFree
+// Acquire open with the same O(1) test (an eligibility register, an
+// eligible-port count), so on them the hint saves only the call into
+// Acquire and its failed-grant return. It still saves the crossbar's
+// O(ports) row sweep under LeastLoaded.
 type AvailabilityHinter interface {
 	AcquireWouldFail(pid int) bool
 }

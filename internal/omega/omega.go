@@ -107,12 +107,13 @@ type Omega struct {
 
 	portBusy []bool
 	free     []int
-	// eligPorts counts ports with a free bus and ≥1 free resource — the
-	// OR of the paper's per-port Y signals, maintained incrementally so
-	// the core.AvailabilityHinter answer (and Acquire's resource-block
-	// shortcut) is O(1) instead of an O(N) mask scan.
-	eligPorts int
-	outOcc    [][]bool // [stage][wire] output-wire occupancy
+	// elig holds the paper's per-port Y signals as one register: bit j
+	// is set iff port j has a free bus and ≥1 free resource. Every claim
+	// and release of a bus or resource updates it, so a box output's
+	// availability bit is one AND with its reach mask, and Acquire's
+	// resource-block shortcut is elig == 0.
+	elig   uint64
+	outOcc [][]bool // [stage][wire] output-wire occupancy
 	// reach[s][w] is the bitmask of output ports statically reachable
 	// from the wire leaving stage s at position w.
 	reach [][]uint64
@@ -166,17 +167,17 @@ func New(n, perPort int, opts ...Option) *Omega {
 	}
 	stages := bits.Len(uint(n)) - 1
 	o := &Omega{
-		n:         stages,
-		size:      n,
-		perPort:   perPort,
-		policy:    LaneUpperFirst,
-		wiring:    OmegaWiring,
-		rnd:       rng.New(0x0177e6a5),
-		reroute:   true,
-		portBusy:  make([]bool, n),
-		free:      make([]int, n),
-		eligPorts: n,
-		outOcc:    make([][]bool, stages),
+		n:        stages,
+		size:     n,
+		perPort:  perPort,
+		policy:   LaneUpperFirst,
+		wiring:   OmegaWiring,
+		rnd:      rng.New(0x0177e6a5),
+		reroute:  true,
+		portBusy: make([]bool, n),
+		free:     make([]int, n),
+		elig:     allPorts(n),
+		outOcc:   make([][]bool, stages),
 
 		rejectsByStage: make([]int64, stages),
 		portGrants:     make([]int64, n),
@@ -194,6 +195,9 @@ func New(n, perPort int, opts ...Option) *Omega {
 	o.buildReach()
 	return o
 }
+
+// allPorts is the register with all n ports' Y signals set.
+func allPorts(n int) uint64 { return ^uint64(0) >> uint(64-n) }
 
 // NewCube returns an indirect-binary-n-cube RSIN (the paper's CUBE
 // configuration), equivalent to New with WithWiring(CubeWiring).
@@ -280,19 +284,6 @@ func (o *Omega) portEligible(j int) bool {
 	return !o.portBusy[j] && o.free[j] > 0
 }
 
-// eligibleMask returns the bitmask of currently eligible output ports.
-//
-//lint:hotpath
-func (o *Omega) eligibleMask() uint64 {
-	var m uint64
-	for j := 0; j < o.size; j++ {
-		if o.portEligible(j) {
-			m |= 1 << uint(j)
-		}
-	}
-	return m
-}
-
 // avail is the availability bit of the wire leaving stage s at position
 // w: whether any reachable output port is eligible. This is the
 // backward-propagated status register content of the paper's Fig. 9/10
@@ -304,7 +295,7 @@ func (o *Omega) avail(s, w int) bool {
 	if o.snap != nil {
 		return o.snap[s][w]
 	}
-	return o.reach[s][w]&o.eligibleMask() != 0
+	return o.reach[s][w]&o.elig != 0
 }
 
 // pathGrant records the claimed wires, innermost (last stage) first.
@@ -347,7 +338,7 @@ func (o *Omega) Acquire(pid int) (core.Grant, bool) {
 		panic(fmt.Sprintf("omega: processor %d out of range", pid))
 	}
 	o.tel.Attempts++
-	if o.eligPorts == 0 {
+	if o.elig == 0 {
 		// Phase-1 status already tells the processor to stay queued.
 		o.tel.Failures++
 		o.tel.ResourceBlock++
@@ -366,7 +357,7 @@ func (o *Omega) Acquire(pid int) (core.Grant, bool) {
 	invariant.Assert(!o.portBusy[port] && o.free[port] > 0, "omega",
 		"routed to ineligible port %d (busy=%v free=%d)", port, o.portBusy[port], o.free[port])
 	o.portBusy[port] = true
-	o.eligPorts-- // port was eligible (asserted/checked above)
+	o.elig &^= 1 << uint(port)
 	o.free[port]--
 	o.tel.Grants++
 	o.portGrants[port]++
@@ -387,7 +378,7 @@ func (o *Omega) AcquireWouldFail(pid int) bool {
 	if pid < 0 || pid >= o.size {
 		panic(fmt.Sprintf("omega: processor %d out of range", pid))
 	}
-	if o.eligPorts > 0 {
+	if o.elig != 0 {
 		return false
 	}
 	o.tel.Attempts++
@@ -503,6 +494,7 @@ func (o *Omega) acquireStale(pid int) (core.Grant, bool) {
 		o.tel.ResourceBlock++
 		return core.Grant{}, false
 	}
+	rejBefore := o.tel.Rejects
 	pg := o.takePath()
 	port, ok := o.route(0, o.entry(pid), &pg.wires)
 	if !ok {
@@ -510,7 +502,7 @@ func (o *Omega) acquireStale(pid int) (core.Grant, bool) {
 		o.tel.Failures++
 		o.tel.PathBlock++
 		o.verify()
-		return core.Grant{}, false
+		return core.Grant{Rejects: o.tel.Rejects - rejBefore}, false
 	}
 	// The paper's status-bit consistency guarantee: a forward-routed
 	// request never lands on a port whose frozen availability bit was
@@ -522,12 +514,12 @@ func (o *Omega) acquireStale(pid int) (core.Grant, bool) {
 	invariant.Assert(!o.portBusy[port] && o.free[port] > 0, "omega",
 		"routed to ineligible port %d (busy=%v free=%d)", port, o.portBusy[port], o.free[port])
 	o.portBusy[port] = true
-	o.eligPorts-- // port was eligible (asserted/checked above)
+	o.elig &^= 1 << uint(port)
 	o.free[port]--
 	o.tel.Grants++
 	o.portGrants[port]++
 	o.verify()
-	return core.Grant{Processor: pid, Port: port, Path: pg}, true
+	return core.Grant{Processor: pid, Port: port, Path: pg, Rejects: o.tel.Rejects - rejBefore}, true
 }
 
 // AcquireTag routes a request from pid to the specific output port dst
@@ -581,7 +573,7 @@ func (o *Omega) AcquireTag(pid, dst int) (core.Grant, bool) {
 		panic("omega: tag routing reached wrong port")
 	}
 	o.portBusy[port] = true
-	o.eligPorts-- // port was eligible (asserted/checked above)
+	o.elig &^= 1 << uint(port)
 	o.free[port]--
 	o.tel.Grants++
 	o.portGrants[port]++
@@ -643,15 +635,15 @@ func (o *Omega) VerifyState() error {
 				"port %d free-resource count %d outside [0,%d]", j, f, o.perPort)
 		}
 	}
-	elig := 0
+	var elig uint64
 	for j := 0; j < o.size; j++ {
 		if o.portEligible(j) {
-			elig++
+			elig |= 1 << uint(j)
 		}
 	}
-	if elig != o.eligPorts {
+	if elig != o.elig {
 		return invariant.Errorf("omega",
-			"eligible-port count drifted: incremental %d, recount %d", o.eligPorts, elig)
+			"eligibility register drifted: register %#x, recount %#x", o.elig, elig)
 	}
 	return nil
 }
@@ -675,7 +667,7 @@ func (o *Omega) ReleasePath(g core.Grant) {
 	}
 	o.portBusy[g.Port] = false
 	if o.free[g.Port] > 0 {
-		o.eligPorts++
+		o.elig |= 1 << uint(g.Port)
 	}
 	o.verify()
 }
@@ -691,11 +683,12 @@ func (o *Omega) ReleaseResource(g core.Grant) {
 	}
 	o.free[g.Port]++
 	if o.free[g.Port] == 1 && !o.portBusy[g.Port] {
-		o.eligPorts++
+		o.elig |= 1 << uint(g.Port)
 	}
 	if pg, ok := g.Path.(*pathGrant); ok {
 		o.putPath(pg)
 	}
+	o.verify()
 }
 
 // Processors implements core.Network.
@@ -770,7 +763,7 @@ func (o *Omega) Reset() {
 		o.portBusy[i] = false
 		o.free[i] = o.perPort
 	}
-	o.eligPorts = o.size
+	o.elig = allPorts(o.size)
 	for s := range o.outOcc {
 		for w := range o.outOcc[s] {
 			o.outOcc[s][w] = false
@@ -783,6 +776,7 @@ func (o *Omega) Reset() {
 	for i := range o.portGrants {
 		o.portGrants[i] = 0
 	}
+	o.verify()
 }
 
 // SetResourceAvailability overrides the free-resource count of port j
@@ -796,15 +790,13 @@ func (o *Omega) SetResourceAvailability(j, freeCount int) {
 	if freeCount > o.perPort {
 		freeCount = o.perPort
 	}
-	wasEligible := o.portEligible(j)
 	o.free[j] = freeCount
-	if nowEligible := o.portEligible(j); nowEligible != wasEligible {
-		if nowEligible {
-			o.eligPorts++
-		} else {
-			o.eligPorts--
-		}
+	if o.portEligible(j) {
+		o.elig |= 1 << uint(j)
+	} else {
+		o.elig &^= 1 << uint(j)
 	}
+	o.verify()
 }
 
 // FreeResources returns the current free-resource count at port j.

@@ -160,6 +160,15 @@ func TestFig11Example(t *testing.T) {
 	if tel.Rejects != 1 {
 		t.Errorf("rejects = %d, want 1 (stale-status conflict)", tel.Rejects)
 	}
+	// Each grant's Rejects counts its own request's rejects, so the
+	// batch's grants sum to the telemetry's count.
+	var granted int64
+	for _, g := range grants {
+		granted += g.Rejects
+	}
+	if granted != tel.Rejects {
+		t.Errorf("batch grants carry %d rejects, telemetry counts %d", granted, tel.Rejects)
+	}
 	if avg := float64(tel.BoxVisits) / 4; avg != 3.5 {
 		t.Errorf("average boxes per request = %v, paper reports 3.5 (visits=%d)", avg, tel.BoxVisits)
 	}

@@ -120,8 +120,9 @@ func (to *TypedOmega) eligible(j, t int) bool {
 	return !to.net.portBusy[j] && to.free[j][t] > 0
 }
 
-// eligibleMaskType is the per-type analogue of the untyped eligibility
-// mask: the OR over ports of the type-t availability registers.
+// eligibleMaskType is the per-type analogue of the untyped network's
+// eligibility register, computed once per request: bit j is port j's
+// type-t availability.
 //
 //lint:hotpath
 func (to *TypedOmega) eligibleMaskType(t int) uint64 {
@@ -164,11 +165,10 @@ func (to *TypedOmega) AcquireType(pid, t int) (core.Grant, bool) {
 		return core.Grant{Rejects: to.tel.Rejects - rejBefore}, false
 	}
 	to.net.portBusy[port] = true
-	// The substrate's untyped free counters are untouched by typed
-	// grants (they stay at capacity), so substrate eligibility is
-	// exactly !portBusy — keep its incremental count in sync since
-	// ReleasePath below goes through the substrate and increments it.
-	to.net.eligPorts--
+	// The substrate's untyped free counters stay at capacity under typed
+	// grants, so its eligibility register is exactly !portBusy: clear
+	// the port's bit, which the substrate's ReleasePath sets again.
+	to.net.elig &^= 1 << uint(port)
 	to.free[port][t]--
 	to.tel.Grants++
 	tg := to.takeTG()
