@@ -6,14 +6,14 @@ GO ?= go
 .PHONY: build test test-race test-invariant lint lint-certify figures bench bench-check
 
 # The roots of the determinism certificate: the engine entry point,
-# the runner worker loop, the event heap, the hot-path observability
-# recorders (attribution + time series) whose outputs the CI
-# byte-identity gates cmp, and the sharded orchestrator (ROADMAP item
-# 2): its run/merge entry points and the obs shard merges, which the
-# shard-equivalence CI job cmps byte-for-byte. CI renders the
-# certificate through lint-certify, so this is the only copy of the
-# list.
-CERT_ROOTS = internal/sim.Run,internal/runner.Map,internal/sim.(*eventHeap).push,internal/sim.(*eventHeap).pop,internal/obs.(*AttrRecorder).Event,internal/obs.(*SeriesRecorder).Event,internal/shard.Run,internal/shard.RunSubs,internal/shard.Merge,internal/obs.(*AttrRecorder).Merge,internal/obs.MergeSeries,internal/obs.MergeShardTraces
+# the runner worker loop, the timer tree's arm and disarm (the event
+# queue's writes), the hot-path observability recorders (attribution +
+# time series) whose outputs the CI byte-identity gates cmp, and the
+# sharded orchestrator (ROADMAP item 2): its run/merge entry points and
+# the obs shard merges, which the shard-equivalence CI job cmps
+# byte-for-byte. CI renders the certificate through lint-certify, so
+# this is the only copy of the list.
+CERT_ROOTS = internal/sim.Run,internal/runner.Map,internal/sim.(*timerTree).arm,internal/sim.(*timerTree).disarm,internal/obs.(*AttrRecorder).Event,internal/obs.(*SeriesRecorder).Event,internal/shard.Run,internal/shard.RunSubs,internal/shard.Merge,internal/obs.(*AttrRecorder).Merge,internal/obs.MergeSeries,internal/obs.MergeShardTraces
 
 build:
 	$(GO) build ./...

@@ -367,7 +367,7 @@ func BenchmarkEngineThroughput(b *testing.B) {
 		{"64/1x64x64 OMEGA/1 rho=0.8", "64/1x64x64 OMEGA/1", 0.8, 64, 64, ""},
 		{"128/1x128x128 XBAR/1 rho=0.8", "128/1x128x128 XBAR/1", 0.8, 128, 128, ""},
 		// Large-p points: the SoA kernel's target regime, where the
-		// event heap holds thousands of pending events. Omega networks
+		// timer tree holds thousands of armed slots. Omega networks
 		// cap at 64×64, so the large omega rows are partitioned
 		// clusters of 64-wide subnetworks.
 		{"1024/1x1024x1024 XBAR/1 rho=0.8", "1024/1x1024x1024 XBAR/1", 0.8, 1024, 1024, ""},

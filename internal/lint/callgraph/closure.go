@@ -16,7 +16,7 @@ import (
 )
 
 // FullName returns the node's package-path-qualified name:
-// "rsin/internal/sim.Run", "rsin/internal/sim.(*eventHeap).push",
+// "rsin/internal/sim.Run", "rsin/internal/sim.(*timerTree).arm",
 // "rsin/internal/runner.Map$2" for an anonymous literal. It is the key
 // root specs resolve against.
 func (n *Node) FullName() string {

@@ -130,9 +130,9 @@ func TestProcTableFIFO(t *testing.T) {
 
 // TestHotStructuresZeroAlloc pins the per-operation allocation count of
 // the kernel's hot data structures at exactly zero once they have grown
-// to their peak working set: procTable/arena FIFO traffic, event-heap
-// churn at a steady depth, and grant-table churn at peak occupancy. The
-// hotalloc suppressions on eventHeap.push, grantTable.put and
+// to their peak working set: procTable/arena FIFO traffic, timer-tree
+// churn at steady occupancy, and grant-table churn at peak occupancy.
+// The hotalloc suppressions on timerTree.arm, grantTable.put and
 // grantTable.take cite this test.
 func TestHotStructuresZeroAlloc(t *testing.T) {
 	const p = 64
@@ -152,27 +152,33 @@ func TestHotStructuresZeroAlloc(t *testing.T) {
 		t.Errorf("procTable steady state allocates %g allocs/run, want 0", avg)
 	}
 
-	// The event heap at a steady depth of 3p, about one arrival timer
-	// and two in-flight completions per processor: every pop is
-	// answered by a push further out, as the kernel reschedules.
-	const depth = 3 * p
-	var h eventHeap
+	// The timer tree at steady occupancy: p arrival slots and p grant
+	// slots armed, after the grant slots grew the tree past its initial
+	// p leaves. Each event re-arms its own slot further out, as an
+	// arrival or a transmission end does; a grant slot is first
+	// disarmed and then re-armed, as a service completion whose index
+	// the next grant reuses.
+	q := newTimerTree(p)
 	var seq uint64
-	for i := 0; i < depth; i++ {
-		h.push(event{time: float64(i), seq: seq})
+	for slot := 0; slot < 2*p; slot++ {
+		q.arm(slot, float64(slot), seq, evArrival)
 		seq++
 	}
 	if avg := testing.AllocsPerRun(200, func() {
-		for i := 0; i < p; i++ {
-			e := h.pop()
-			h.push(event{time: e.time + depth + 0.5, seq: seq})
+		for i := 0; i < 2*p; i++ {
+			slot := q.next()
+			t := q.time[slot] + 2*p + 0.5
+			if slot >= p {
+				q.disarm(slot)
+			}
+			q.arm(slot, t, seq, evTxDone)
 			seq++
 		}
 	}); avg != 0 {
-		t.Errorf("event heap steady state allocates %g allocs/run, want 0", avg)
+		t.Errorf("timer tree steady state allocates %g allocs/run, want 0", avg)
 	}
-	if h.len() != depth {
-		t.Fatalf("heap depth drifted to %d, want %d", h.len(), depth)
+	if q.armed != 2*p {
+		t.Fatalf("timer tree holds %d armed slots, want %d", q.armed, 2*p)
 	}
 
 	// The grant table at peak occupancy: every slot is held, and each
@@ -267,5 +273,27 @@ func TestRunSteadyStateZeroAlloc(t *testing.T) {
 					base, n, big, 3*n)
 			}
 		})
+	}
+}
+
+// TestRunMemoryFollowsConcurrency pins that a run's memory follows its
+// peak concurrency, not the network's resource count: a 16-processor
+// bus with ten million resources never holds more than a few grants at
+// once, so sizing any per-grant structure from TotalResources would
+// cost gigabytes where the run needs kilobytes.
+func TestRunMemoryFollowsConcurrency(t *testing.T) {
+	invariant.Enable(false)
+	defer invariant.Enable(true)
+	net := bus.New(16, 10_000_000)
+	cfg := Config{Lambda: 0.05, MuN: 1, MuS: 0.1, Seed: 1, Warmup: 100, Samples: 10_000}
+	runtime.GC()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	if _, err := Run(net, cfg); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&m1)
+	if got := m1.TotalAlloc - m0.TotalAlloc; got >= 1<<20 {
+		t.Errorf("Run on %d resources allocated %d bytes, want under 1 MiB", net.TotalResources(), got)
 	}
 }

@@ -17,13 +17,13 @@ import (
 
 // This file is the kernel differential matrix: the acceptance proof for
 // the kernel's data-structure rewrites (SoA processor state, task arena,
-// compact event heap). For every network class × processor count ×
+// timer tree). For every network class × processor count ×
 // traffic intensity cell it runs two kernels over the same workload —
 //
 //   - runOracle: the frozen pre-refactor kernel (AoS procs, its own
 //     40-byte events on a swap-based binary heap),
-//   - Run: the production kernel (SoA procs, 24-byte events on a
-//     hole-sifting binary heap),
+//   - Run: the production kernel (SoA procs, one timer slot per
+//     processor and per grant in a tournament tree),
 //
 // and requires the rendered Result (every metric, telemetry counter,
 // and raw delay sample) and the rendered obs trace bytes (every grant,

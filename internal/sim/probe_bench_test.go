@@ -52,7 +52,7 @@ func BenchmarkRunProbe(b *testing.B) {
 	})
 
 	// The large-p shape: 64 partitioned 64-port crossbars (p=4096),
-	// where the event heap holds thousands of pending events and the
+	// where the timer tree holds thousands of armed slots and the
 	// per-event probe branch competes with a much hotter event loop.
 	// Guards the probe-on overhead story beyond the small reference
 	// system.

@@ -188,17 +188,19 @@ var ErrSaturated = errors.New("sim: queue exceeded MaxQueue; system appears satu
 // The kernel is allocation-free in steady state: processor state lives
 // in struct-of-arrays form (procTable), queued tasks in a free-list
 // arena (taskArena), in-flight grants in the slot-reusing grantTable,
-// and the event heap retains its capacity — so once the structures
-// have grown to the run's peak backlog, the event loop performs zero
+// and pending events in the timerTree, whose slots are the processors
+// and the grant-table indexes — so once the structures have grown to
+// the run's peak backlog and concurrency, the event loop performs zero
 // heap allocations. arena_test.go pins this with testing.AllocsPerRun
 // and a whole-run malloc-delta check, and the kernel differential
 // matrix in kernel_diff_test.go proves the layout refactor changed no
 // observable byte: Results and obs traces are identical to the retained
 // pre-refactor kernel (runOracle).
 //
-// Events carry processor and grant-table indexes as int32, so Run
-// rejects a network with more than math.MaxInt32 processors or
-// resources; outstanding grants never exceed the resource count.
+// Run rejects a network with more than math.MaxInt32 processors or
+// resources, which keeps the timer slots (two per processor plus one
+// per outstanding grant, and outstanding grants never exceed the
+// resource count) far inside an int.
 func Run(net core.Network, cfg Config) (res Result, err error) {
 	// Invariant violations inside the network models and accumulators
 	// surface as panics (invariant.Assert, stats.ErrTimeBackwards);
@@ -273,17 +275,17 @@ func Run(net core.Network, cfg Config) (res Result, err error) {
 // phases, one handler per event kind plus the allocation attempt
 // (tryStart) and the post-release retry engine (wake) they share.
 type kernel struct {
-	net       core.Network
-	cfg       Config
-	rates     []float64 // per-processor arrival rates
-	p         int       // processor count
-	src       *rng.Source
-	q         eventHeap
-	seq       uint64 // events scheduled so far: the FIFO tie-breaker
-	now       float64
-	pt        *procTable
-	grants    *grantTable
-	retryPend []bool // pid has an evRetry pending (RetryJitter)
+	net    core.Network
+	cfg    Config
+	rates  []float64 // per-processor arrival rates
+	p      int       // processor count
+	src    *rng.Source
+	q      timerTree
+	seq    uint64 // events scheduled so far: the FIFO tie-breaker
+	now    float64
+	pt     *procTable
+	grants *grantTable
+	gbase  int // timer slot of grant-table index 0: p, or 2p with RetryJitter
 
 	// Incremental wake engine state. blocked tracks exactly the
 	// processors that are idle with a nonempty queue — the ones whose
@@ -325,12 +327,22 @@ type kernel struct {
 // about 5% slower (medians of 24 alternating runs, Intel Xeon 2-vCPU).
 func newKernel(net core.Network, cfg Config, rates []float64) kernel {
 	p := net.Processors()
+	// Timer slots: one arrival per processor, one retry per processor
+	// with RetryJitter, then one per grant-table index. The grant slots
+	// start at min(resources, 2p), which covers the figures' and the
+	// benchmark's concurrency without a resize; the tree grows past it
+	// only as far as a run's peak, never to a huge resource count.
+	gbase := p
+	if cfg.RetryJitter > 0 {
+		gbase = 2 * p
+	}
 	k := kernel{
 		net: net, cfg: cfg, rates: rates, p: p,
 		src:       rng.New(cfg.Seed),
+		q:         newTimerTree(gbase + min(net.TotalResources(), 2*p)),
 		pt:        newProcTable(p, p),
 		grants:    newGrantTable(),
-		retryPend: make([]bool, p),
+		gbase:     gbase,
 		blocked:   newWaiterSet(p),
 		headSince: make([]float64, p),
 		delays:    stats.NewBatchMeans(int64(cfg.BatchSize)),
@@ -354,48 +366,54 @@ func newKernel(net core.Network, cfg Config, rates []float64) kernel {
 	k.busyTW.Set(0, 0)
 	for pid, r := range rates {
 		if r > 0 {
-			k.schedule(event{time: k.src.Exp(r), kind: evArrival, ref: int32(pid)})
+			k.schedule(pid, k.src.Exp(r), evArrival)
 		}
 	}
 	return k
 }
 
-// loop pops and dispatches events until Samples post-warmup delays are
-// collected or no event remains (every arrival rate is zero).
+// loop dispatches the earliest pending event until Samples post-warmup
+// delays are collected or no event remains (every arrival rate is
+// zero). The event stays in its timer slot while its handler runs; the
+// handler re-arms or disarms the slot.
 //
 //lint:hotpath the event loop, once per simulated event
 func (k *kernel) loop() error {
-	for k.collected < k.cfg.Samples && k.q.len() > 0 {
-		e := k.q.pop()
+	for k.collected < k.cfg.Samples && k.q.armed > 0 {
+		slot := k.q.next()
+		t := k.q.time[slot]
 		if invariant.Enabled() {
-			if verr := invariant.NonDecreasing("sim", k.now, e.time); verr != nil {
+			if verr := invariant.NonDecreasing("sim", k.now, t); verr != nil {
 				return verr
 			}
 		}
-		k.now = e.time
+		k.now = t
 		if !k.warmedUp && k.now >= k.cfg.Warmup {
 			k.warmedUp = true
 			k.queueLen.Reset()
 			k.busyTW.Reset()
 			k.completed = 0
 		}
-		switch e.kind {
+		switch k.q.kind[slot] {
 		case evArrival:
-			if err := k.arrival(int(e.ref)); err != nil {
+			if err := k.arrival(slot); err != nil {
 				return err
 			}
 		case evTxDone:
-			k.txDone(int(e.ref))
+			k.txDone(slot - k.gbase)
 		case evSvcDone:
-			k.svcDone(int(e.ref))
+			k.svcDone(slot - k.gbase)
 		case evRetry:
-			k.retry(int(e.ref))
+			k.retry(slot - k.p)
 		}
 		if invariant.Enabled() {
 			if verr := blockedInvariant(k.pt, k.blocked); verr != nil {
 				return verr
 			}
 			if verr := k.pt.checkChains(); verr != nil {
+				return verr
+			}
+			if verr := k.q.check(); verr != nil {
 				return verr
 			}
 		}
@@ -440,11 +458,13 @@ func (k *kernel) result() Result {
 	return res
 }
 
+// schedule arms timer slot with an event of the given kind at time t,
+// stamped with the next seq.
+//
 //lint:hotpath event scheduling, one call per simulated event
-func (k *kernel) schedule(e event) {
-	e.seq = k.seq
+func (k *kernel) schedule(slot int, t float64, kind eventKind) {
+	k.q.arm(slot, t, k.seq, kind)
 	k.seq++
-	k.q.push(e)
 }
 
 //lint:hotpath queue-length accumulator update
@@ -474,7 +494,7 @@ func (k *kernel) startTx(pid int, g core.Grant) float64 {
 	k.pt.transmitting[pid] = true
 	k.setBusy(1)
 	gi := k.grants.put(g, arrivedAt)
-	k.schedule(event{time: k.now + k.src.Exp(k.cfg.MuN), kind: evTxDone, ref: int32(gi)})
+	k.schedule(k.gbase+gi, k.now+k.src.Exp(k.cfg.MuN), evTxDone)
 	d := k.now - arrivedAt
 	//lint:coldpath probe emission, nil on the measured fast path
 	if k.probe != nil {
@@ -592,11 +612,10 @@ func (k *kernel) tryStart(pid int) bool {
 func (k *kernel) wake(lo, hi int) {
 	if k.cfg.RetryJitter > 0 {
 		for pid := k.blocked.next(lo); pid != -1 && pid < hi; pid = k.blocked.next(pid + 1) {
-			if k.retryPend[pid] {
+			if k.q.armedAt(k.p + pid) {
 				continue
 			}
-			k.retryPend[pid] = true
-			k.schedule(event{time: k.now + k.src.Exp(1/k.cfg.RetryJitter), kind: evRetry, ref: int32(pid)})
+			k.schedule(k.p+pid, k.now+k.src.Exp(1/k.cfg.RetryJitter), evRetry)
 		}
 		return
 	}
@@ -682,7 +701,7 @@ func (k *kernel) arrival(pid int) error {
 		k.probe.Event(obs.Event{T: k.now, Kind: obs.KindEnqueue, Pid: pid, Port: -1, Req: req, Aux: int64(k.pt.queued(pid))})
 	}
 	k.tryStart(pid)
-	k.schedule(event{time: k.now + k.src.Exp(k.rates[pid]), kind: evArrival, ref: int32(pid)})
+	k.schedule(pid, k.now+k.src.Exp(k.rates[pid]), evArrival)
 	return nil
 }
 
@@ -708,7 +727,7 @@ func (k *kernel) txDone(gi int) {
 	k.setBusy(-1)
 	k.inService++
 	k.grants.markTx(gi, k.now)
-	k.schedule(event{time: k.now + k.src.Exp(k.cfg.MuS), kind: evSvcDone, ref: int32(gi)})
+	k.schedule(k.gbase+gi, k.now+k.src.Exp(k.cfg.MuS), evSvcDone)
 	//lint:coldpath probe emission, nil on the measured fast path
 	if k.probe != nil {
 		k.probe.Event(obs.Event{T: k.now, Kind: obs.KindTransmitEnd, Pid: pid, Port: g.Port, Req: k.grants.req(gi)})
@@ -719,10 +738,13 @@ func (k *kernel) txDone(gi int) {
 }
 
 // svcDone completes the task served on grant gi: the resource is
-// released, the response time recorded, and blocked waiters retry.
+// released, the response time recorded, and blocked waiters retry. It
+// disarms gi's timer slot before the wake, whose first grant reuses gi
+// (the grant table's free list is LIFO) and re-arms the slot.
 //
 //lint:hotpath
 func (k *kernel) svcDone(gi int) {
+	k.q.disarm(k.gbase + gi)
 	s := k.grants.take(gi)
 	lo, hi := k.peers(s.g)
 	k.net.ReleaseResource(s.g)
@@ -768,12 +790,12 @@ func (k *kernel) svcDone(gi int) {
 
 //lint:hotpath jittered re-attempt (Config.RetryJitter)
 func (k *kernel) retry(pid int) {
-	k.retryPend[pid] = false
+	k.q.disarm(k.p + pid)
 	k.tryStart(pid)
 }
 
 // grantTable stores outstanding grants (and their tasks' arrival times)
-// indexed by small reusable ints so events stay value types.
+// indexed by small reusable ints; index gi owns timer slot gbase+gi.
 type grantTable struct {
 	slots []grantSlot
 	free  []int

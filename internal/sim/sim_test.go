@@ -15,34 +15,6 @@ import (
 	"rsin/internal/queueing"
 )
 
-func TestHeapOrdering(t *testing.T) {
-	var h eventHeap
-	times := []float64{5, 1, 3, 1, 2, 9, 0.5}
-	for i, tm := range times {
-		h.push(event{time: tm, seq: uint64(i)})
-	}
-	prev := event{time: math.Inf(-1)}
-	for h.len() > 0 {
-		e := h.pop()
-		if e.time < prev.time || (e.time == prev.time && e.seq < prev.seq) {
-			t.Fatalf("heap order violated: %+v after %+v", e, prev)
-		}
-		prev = e
-	}
-}
-
-func TestHeapFIFOTieBreak(t *testing.T) {
-	var h eventHeap
-	for i := 0; i < 10; i++ {
-		h.push(event{time: 1, seq: uint64(i), ref: int32(i)})
-	}
-	for i := 0; i < 10; i++ {
-		if e := h.pop(); e.ref != int32(i) {
-			t.Fatalf("tie-break not FIFO: got ref %d at pop %d", e.ref, i)
-		}
-	}
-}
-
 func TestRunDeterminism(t *testing.T) {
 	cfg := Config{Lambda: 0.05, MuN: 1, MuS: 0.1, Seed: 42, Warmup: 100, Samples: 5000}
 	r1, err := Run(bus.New(16, 32), cfg)
