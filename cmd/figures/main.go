@@ -86,6 +86,8 @@ func main() {
 		fatal(sink, fmt.Errorf("unknown -format %q (want text or csv)", *format))
 	case *shards < 0:
 		fatal(sink, fmt.Errorf("-shards must be non-negative (got %d)", *shards))
+	case *attrTopK < 0:
+		fatal(sink, fmt.Errorf("-attr-topk must be non-negative (got %d)", *attrTopK))
 	case *shards > 0 && (*attrOut != "" || *seriesOut != ""):
 		fatal(sink, fmt.Errorf("-shards is incompatible with -attr/-series: the observation hook attaches one probe per sweep cell, which has no per-sub-network form (use cmd/rsinsim -shards for merged attribution and series)"))
 	case !(*seriesDt > 0) || math.IsInf(*seriesDt, 0):

@@ -22,6 +22,17 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
+// runFigures re-executes the test binary as the command.
+func runFigures(args ...string) (stdout, stderr string, err error) {
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	var out, errOut bytes.Buffer
+	cmd.Stdout = &out
+	cmd.Stderr = &errOut
+	err = cmd.Run()
+	return out.String(), errOut.String(), err
+}
+
 // TestRejectedInvocations pins every invalid invocation to a non-zero
 // exit with one "figures: ..." line on stderr and no panic. Each is
 // rejected before any figure is computed.
@@ -39,29 +50,48 @@ func TestRejectedInvocations(t *testing.T) {
 		{"unknown format", []string{"-fig", "7", "-quick", "-format", "bogus"}},
 		{"negative shards", []string{"-fig", "7", "-quick", "-shards", "-1"}},
 		{"shards with attr", []string{"-fig", "7", "-quick", "-shards", "2", "-attr", filepath.Join(dir, "a.json")}},
+		{"negative attr-topk", []string{"-fig", "7", "-quick", "-attr", filepath.Join(dir, "a.json"), "-attr-topk", "-1"}},
 		{"unknown figure", []string{"-fig", "bogus"}},
 		{"undefined flag", []string{"-fig", "7", "-queue", "heap"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cmd := exec.Command(os.Args[0], tc.args...)
-			cmd.Env = append(os.Environ(), runMainEnv+"=1")
-			var stdout, stderr bytes.Buffer
-			cmd.Stdout, cmd.Stderr = &stdout, &stderr
-			err := cmd.Run()
+			stdout, msg, err := runFigures(tc.args...)
 			var exit *exec.ExitError
 			if !errors.As(err, &exit) {
 				t.Fatalf("want a non-zero exit, got err=%v", err)
 			}
-			msg := stderr.String()
 			if strings.Contains(msg, "panic:") {
 				t.Fatalf("panicked:\n%s", msg)
 			}
 			if !strings.HasPrefix(msg, "figures: ") || strings.Count(msg, "\n") != 1 {
 				t.Errorf("want one \"figures: ...\" line on stderr, got %q", msg)
 			}
-			if stdout.Len() != 0 {
-				t.Errorf("rejected invocation wrote to stdout: %q", stdout.String())
+			if stdout != "" {
+				t.Errorf("rejected invocation wrote to stdout: %q", stdout)
 			}
 		})
+	}
+}
+
+// TestAcceptedInvocations pins three working forms, one per kind of
+// artifact: a walkthrough, a gate-level table and a simulated figure
+// as CSV. With -timing=false nothing reaches stderr.
+func TestAcceptedInvocations(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-fig", "11"}, "== fig11: Omega-network walkthrough"},
+		{[]string{"-fig", "table1"}, "== Table I: truth table of cell in shared buses"},
+		{[]string{"-fig", "7", "-quick", "-format", "csv"}, "rho,16/1x16x32 XBAR/1,16/1x16x32 XBAR/1 ±,"},
+	} {
+		args := append(tc.args, "-timing=false")
+		stdout, stderr, err := runFigures(args...)
+		if err != nil || stderr != "" {
+			t.Errorf("figures %v: err=%v stderr=%q", args, err, stderr)
+		}
+		if !strings.HasPrefix(stdout, tc.want) {
+			t.Errorf("figures %v: stdout does not start with %q:\n%s", args, tc.want, stdout)
+		}
 	}
 }

@@ -45,6 +45,11 @@
 // for any -workers value, exactly like stdout. Inspect the attr and
 // series files with cmd/rsintrace.
 //
+// -analytic prints the exact Markov solution of an SBUS configuration
+// instead of simulating it, so it rejects the flags that only a
+// simulation uses: -trace, -metrics, -attr, -series, -shards and -reps
+// above 1.
+//
 // Invalid flag values and unsupported flag combinations are rejected
 // with a one-line error on stderr and exit status 1.
 package main
@@ -115,6 +120,34 @@ func main() {
 	if *samples < 1 {
 		fatal(fmt.Errorf("-samples must be at least 1 (got %d)", *samples))
 	}
+	if *attrTopK < 0 {
+		fatal(fmt.Errorf("-attr-topk must be non-negative (got %d)", *attrTopK))
+	}
+	if *shards < 0 {
+		fatal(fmt.Errorf("-shards must be non-negative (got %d)", *shards))
+	}
+	if *shards > 0 && *metricsOut != "" {
+		fatal(fmt.Errorf("-metrics is not supported with -shards: metric registries have no shard merge (use -trace, -attr, or -series)"))
+	}
+	if *analytic {
+		// The exact Markov path prints one solution: there is no
+		// simulated run to record, shard or replicate.
+		for _, f := range []struct {
+			name string
+			set  bool
+		}{
+			{"-trace", *traceOut != ""},
+			{"-metrics", *metricsOut != ""},
+			{"-attr", *attrOut != ""},
+			{"-series", *seriesOut != ""},
+			{"-shards", *shards > 0},
+			{"-reps", *reps > 1},
+		} {
+			if f.set {
+				fatal(fmt.Errorf("%s is not supported with -analytic: the exact Markov solution runs no simulation", f.name))
+			}
+		}
+	}
 	if *cpuProfile != "" {
 		stop, err := obs.StartCPUProfile(*cpuProfile)
 		if err != nil {
@@ -134,6 +167,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	if *analytic && cfg.Type != config.SBUS {
+		fatal(fmt.Errorf("-analytic supports SBUS configurations only (got %s)", cfg.Type))
+	}
 	muN := 1.0
 	muS := *ratio * muN
 	lam := *lambda
@@ -148,9 +184,6 @@ func main() {
 		effRho, queueing.TrafficIntensity(16, lam, muN, muS, 32))
 
 	if *analytic {
-		if cfg.Type != config.SBUS {
-			fatal(fmt.Errorf("-analytic supports SBUS configurations only (got %s)", cfg.Type))
-		}
 		res, err := markov.SolveMatrixGeometric(markov.Params{
 			P: cfg.Inputs, Lambda: lam, MuN: muN, MuS: muS, R: cfg.PerPort,
 		})
@@ -167,12 +200,6 @@ func main() {
 
 	if *reps < 1 {
 		*reps = 1
-	}
-	if *shards < 0 {
-		fatal(fmt.Errorf("-shards must be non-negative (got %d)", *shards))
-	}
-	if *shards > 0 && *metricsOut != "" {
-		fatal(fmt.Errorf("-metrics is not supported with -shards: metric registries have no shard merge (use -trace, -attr, or -series)"))
 	}
 	sw := obs.NewStopwatch()
 	// Per-replication observers: each replication owns its probe (in

@@ -2,12 +2,15 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"rsin/internal/obs"
 )
 
 // runMainEnv makes the re-executed test binary run the command itself,
@@ -22,12 +25,25 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
+// runRsinsim re-executes the test binary as the command.
+func runRsinsim(args ...string) (stdout, stderr string, err error) {
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	var out, errOut bytes.Buffer
+	cmd.Stdout = &out
+	cmd.Stderr = &errOut
+	err = cmd.Run()
+	return out.String(), errOut.String(), err
+}
+
 // TestRejectedInvocations pins every invalid invocation to a non-zero
-// exit with one "rsinsim: ..." line on stderr and no panic.
+// exit with one "rsinsim: ..." line on stderr, nothing on stdout and no
+// panic.
 func TestRejectedInvocations(t *testing.T) {
 	dir := t.TempDir()
 	series := filepath.Join(dir, "s.json")
 	xbar := "16/4x4x4 XBAR/2"
+	sbus := "16/16x1x1 SBUS/2"
 	for _, tc := range []struct {
 		name string
 		args []string
@@ -39,6 +55,13 @@ func TestRejectedInvocations(t *testing.T) {
 		{"negative shards", []string{"-config", xbar, "-shards", "-1"}},
 		{"shards with metrics", []string{"-config", xbar, "-shards", "2", "-metrics", filepath.Join(dir, "m.json")}},
 		{"analytic on XBAR", []string{"-config", xbar, "-analytic"}},
+		{"analytic with trace", []string{"-config", sbus, "-analytic", "-trace", filepath.Join(dir, "t.json")}},
+		{"analytic with metrics", []string{"-config", sbus, "-analytic", "-metrics", filepath.Join(dir, "m.json")}},
+		{"analytic with attr", []string{"-config", sbus, "-analytic", "-attr", filepath.Join(dir, "a.json")}},
+		{"analytic with series", []string{"-config", sbus, "-analytic", "-series", series}},
+		{"analytic with shards", []string{"-config", sbus, "-analytic", "-shards", "2"}},
+		{"analytic with reps", []string{"-config", sbus, "-analytic", "-reps", "4"}},
+		{"negative attr-topk", []string{"-config", xbar, "-attr", filepath.Join(dir, "a.json"), "-attr-topk", "-1"}},
 		{"removed queue flag", []string{"-config", xbar, "-queue", "heap"}},
 		{"malformed config", []string{"-config", "16/4x4 XBAR/2"}},
 		{"omega wider than 64", []string{"-config", "128/1x128x128 OMEGA/1"}},
@@ -57,22 +80,69 @@ func TestRejectedInvocations(t *testing.T) {
 		{"samples negative", []string{"-config", xbar, "-samples", "-5"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cmd := exec.Command(os.Args[0], tc.args...)
-			cmd.Env = append(os.Environ(), runMainEnv+"=1")
-			var stderr bytes.Buffer
-			cmd.Stderr = &stderr
-			err := cmd.Run()
+			stdout, msg, err := runRsinsim(tc.args...)
 			var exit *exec.ExitError
 			if !errors.As(err, &exit) {
 				t.Fatalf("want a non-zero exit, got err=%v", err)
 			}
-			msg := stderr.String()
 			if strings.Contains(msg, "panic:") {
 				t.Fatalf("panicked:\n%s", msg)
 			}
 			if !strings.HasPrefix(msg, "rsinsim: ") || strings.Count(msg, "\n") != 1 {
 				t.Errorf("want one \"rsinsim: ...\" line on stderr, got %q", msg)
 			}
+			if stdout != "" {
+				t.Errorf("rejected invocation wrote to stdout: %q", stdout)
+			}
 		})
+	}
+}
+
+// TestAcceptedInvocations pins the working forms: the exact SBUS
+// solution, pooled replications, and a sharded run writing every
+// observability file that has a shard merge.
+func TestAcceptedInvocations(t *testing.T) {
+	dir := t.TempDir()
+	trace := filepath.Join(dir, "t.json")
+	attr := filepath.Join(dir, "a.json")
+	series := filepath.Join(dir, "s.json")
+	xbar := "16/4x4x4 XBAR/2"
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-config", "16/16x1x1 SBUS/2", "-analytic"}, "analytic delay d"},
+		{[]string{"-config", xbar, "-samples", "5000", "-reps", "2", "-workers", "2"}, "pooled delay d"},
+		{[]string{"-config", xbar, "-samples", "2000", "-shards", "2",
+			"-trace", trace, "-attr", attr, "-series", series}, "simulated delay d"},
+	} {
+		stdout, stderr, err := runRsinsim(tc.args...)
+		if err != nil || stderr != "" {
+			t.Errorf("rsinsim %v: err=%v stderr=%q", tc.args, err, stderr)
+		}
+		if !strings.HasPrefix(stdout, "configuration: ") || !strings.Contains(stdout, tc.want) {
+			t.Errorf("rsinsim %v: stdout %q lacks %q", tc.args, stdout, tc.want)
+		}
+	}
+
+	data, err := os.ReadFile(trace)
+	if err != nil || !json.Valid(data) {
+		t.Errorf("-trace file: err=%v, valid JSON=%v", err, json.Valid(data))
+	}
+	f, err := os.Open(attr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if runs, err := obs.ReadAttributions(f); err != nil || len(runs) != 1 {
+		t.Errorf("-attr file: %d runs, err=%v; want 1 run", len(runs), err)
+	}
+	g, err := os.Open(series)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	if runs, err := obs.ReadSeries(g); err != nil || len(runs) != 1 {
+		t.Errorf("-series file: %d runs, err=%v; want 1 run", len(runs), err)
 	}
 }

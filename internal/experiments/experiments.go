@@ -21,7 +21,6 @@ import (
 
 	"rsin/internal/config"
 	"rsin/internal/obs"
-	"rsin/internal/queueing"
 	"rsin/internal/runner"
 	"rsin/internal/shard"
 	"rsin/internal/sim"
@@ -428,10 +427,4 @@ func parseConfigs(specs ...string) ([]config.Config, error) {
 		cfgs[i] = c
 	}
 	return cfgs, nil
-}
-
-// rhoFor returns the paper's reference-system traffic intensity for a
-// given per-processor arrival rate on the canonical plant.
-func rhoFor(lambda, muN, muS float64) float64 {
-	return queueing.TrafficIntensity(PlantProcessors, lambda, muN, muS, PlantResources)
 }

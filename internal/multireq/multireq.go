@@ -33,7 +33,6 @@ import (
 	"sort"
 
 	"rsin/internal/core"
-	"rsin/internal/obs"
 )
 
 // Network is the substrate multireq needs: the RSIN operations plus
@@ -90,9 +89,6 @@ type Pool struct {
 	disc   Discipline
 	reqs   map[int]*Request
 	wasted int64 // grants released unfinished by ReleaseAndRetry
-
-	probe obs.Probe
-	step  int64 // logical time for probe events (the pool is untimed)
 }
 
 // NewPool returns a coordinator over net with the given discipline.
@@ -103,17 +99,6 @@ func NewPool(net Network, disc Discipline) *Pool {
 // Wasted returns the number of grants released and re-sought by the
 // ReleaseAndRetry discipline — its overhead measure.
 func (p *Pool) Wasted() int64 { return p.wasted }
-
-// SetProbe attaches an observability probe. The pool is untimed, so
-// events carry a logical step counter as their time, keeping them
-// ordered and deterministic.
-func (p *Pool) SetProbe(probe obs.Probe) { p.probe = probe }
-
-// emit sends one lifecycle event at the next logical step.
-func (p *Pool) emit(kind obs.Kind, pid, port int, aux int64) {
-	p.step++
-	p.probe.Event(obs.Event{T: float64(p.step), Kind: kind, Pid: pid, Port: port, Aux: aux})
-}
 
 // Submit registers a request by processor pid for need resources.
 func (p *Pool) Submit(pid, need int) *Request {
@@ -155,16 +140,10 @@ func (p *Pool) Step(pid int) bool {
 				p.net.ReleasePath(g)
 				r.Held = append(r.Held, g)
 				r.Blocked = false
-				if p.probe != nil {
-					p.emit(obs.KindGrant, pid, g.Port, int64(len(r.Held)))
-				}
 				return true
 			}
 		}
 		r.Blocked = true
-		if p.probe != nil {
-			p.emit(obs.KindEnqueue, pid, target, int64(len(r.Held)))
-		}
 		return false
 	default:
 		g, ok := p.net.Acquire(pid)
@@ -172,25 +151,15 @@ func (p *Pool) Step(pid int) bool {
 			p.net.ReleasePath(g)
 			r.Held = append(r.Held, g)
 			r.Blocked = false
-			if p.probe != nil {
-				p.emit(obs.KindGrant, pid, g.Port, int64(len(r.Held)))
-			}
 			return true
 		}
 		r.Blocked = true
-		if p.probe != nil {
-			p.emit(obs.KindEnqueue, pid, -1, int64(len(r.Held)))
-		}
 		if p.disc == ReleaseAndRetry && len(r.Held) > 0 {
-			dropped := int64(len(r.Held))
 			for _, h := range r.Held {
 				p.net.ReleaseResource(h)
 				p.wasted++
 			}
 			r.Held = nil
-			if p.probe != nil {
-				p.emit(obs.KindReject, pid, -1, dropped)
-			}
 		}
 		return false
 	}
@@ -204,9 +173,6 @@ func (p *Pool) Complete(pid int) {
 	}
 	for _, g := range r.Held {
 		p.net.ReleaseResource(g)
-		if p.probe != nil {
-			p.emit(obs.KindRelease, pid, g.Port, 0)
-		}
 	}
 	delete(p.reqs, pid)
 }

@@ -21,20 +21,19 @@ import (
 // on any incompatible change.
 const SnapshotSchema = "rsin-metrics-snapshot/v1"
 
-// ErrNonFiniteMetric is the sentinel wrapped by the panics Counter,
-// UpDown and Gauge raise on NaN/Inf updates or on decrementing a
-// monotone counter. Feeding a metric garbage is a programming error in
-// the instrumentation site, so the accumulators panic rather than
-// silently corrupting every later reading — but with an error value
-// wrapping this sentinel so recovery code can classify it with
-// errors.Is, the same pattern as stats.ErrTimeBackwards.
+// ErrNonFiniteMetric is the sentinel wrapped by the panics Counter and
+// Gauge raise on NaN/Inf updates or on decrementing a monotone
+// counter. Feeding a metric garbage is a programming error in the
+// instrumentation site, so the accumulators panic rather than silently
+// corrupting every later reading — but with an error value wrapping
+// this sentinel so recovery code can classify it with errors.Is, the
+// same pattern as stats.ErrTimeBackwards.
 var ErrNonFiniteMetric = errors.New("obs: invalid metric update")
 
-// Counter is a monotone event count: it only ever moves up. For a
-// state variable that both rises and falls (in-flight requests,
-// attribution deltas), use UpDown — Add here panics on negative n so a
-// signed delta can never silently break the monotonicity that rate
-// computations and snapshot diffing rely on.
+// Counter is a monotone event count: it only ever moves up. Add panics
+// on negative n so a signed delta can never silently break the
+// monotonicity that rate computations and snapshot diffing rely on; a
+// state variable that both rises and falls is a Gauge.
 type Counter struct{ v int64 }
 
 // Inc adds one.
@@ -44,7 +43,7 @@ func (c *Counter) Inc() { c.v++ }
 // ErrNonFiniteMetric) on a negative delta.
 func (c *Counter) Add(n int64) {
 	if n < 0 {
-		panic(fmt.Errorf("%w: Counter.Add(%d) would decrement a monotone counter (use UpDown)", ErrNonFiniteMetric, n))
+		panic(fmt.Errorf("%w: Counter.Add(%d) would decrement a monotone counter", ErrNonFiniteMetric, n))
 	}
 	c.v += n
 }
@@ -52,24 +51,11 @@ func (c *Counter) Add(n int64) {
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v }
 
-// UpDown is a signed event count: a counter whose deltas may have any
-// sign (outstanding requests, net queue movement). It exists so that
-// Counter can stay strictly monotone.
-type UpDown struct{ v int64 }
-
-// Add shifts the count by n (any sign).
-func (u *UpDown) Add(n int64) { u.v += n }
-
-// Value returns the current count.
-func (u *UpDown) Value() int64 { return u.v }
-
 // Gauge is a piecewise-constant state variable tracked as a
 // time-weighted average over simulated time (queue length, busy
 // resources, per-bus occupancy).
 //
-// The zero value is ready to use and reads as value 0: an Add before
-// any Set shifts off an implicit 0, so Add(t, d) on a fresh gauge is
-// exactly Set(t, d). The first observation also opens the averaging
+// The zero value is ready to use. The first Set opens the averaging
 // window, so a gauge first touched at time t carries no weight for
 // [0, t) — PreparePorts-style priming (Set(0, 0)) is how a caller
 // includes the idle prefix.
@@ -89,22 +75,6 @@ func (g *Gauge) Set(t, v float64) {
 	g.last = v
 }
 
-// Add shifts the gauge by delta at time t (off the zero-value's
-// implicit 0 when nothing was ever Set). delta must be finite; Add
-// panics (wrapping ErrNonFiniteMetric) on NaN or ±Inf.
-func (g *Gauge) Add(t, delta float64) {
-	if math.IsNaN(delta) || math.IsInf(delta, 0) {
-		panic(fmt.Errorf("%w: Gauge.Add(%g, %g)", ErrNonFiniteMetric, t, delta))
-	}
-	g.Set(t, g.last+delta)
-}
-
-// Last returns the most recently set value.
-func (g *Gauge) Last() float64 { return g.last }
-
-// Mean returns the time-weighted average observed so far.
-func (g *Gauge) Mean() float64 { return g.tw.Mean() }
-
 // meanAt closes a copy of the window at time t, leaving the live
 // accumulator untouched (snapshots must not perturb the run).
 func (g *Gauge) meanAt(t float64) float64 {
@@ -117,7 +87,6 @@ func (g *Gauge) meanAt(t float64) float64 {
 // per run, and parallel replications each own a registry.
 type Registry struct {
 	counters map[string]*Counter
-	updowns  map[string]*UpDown
 	gauges   map[string]*Gauge
 	hists    map[string]*stats.Log2Histogram
 }
@@ -126,7 +95,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: map[string]*Counter{},
-		updowns:  map[string]*UpDown{},
 		gauges:   map[string]*Gauge{},
 		hists:    map[string]*stats.Log2Histogram{},
 	}
@@ -140,18 +108,6 @@ func (r *Registry) Counter(name string) *Counter {
 		r.counters[name] = c
 	}
 	return c
-}
-
-// UpDown returns the named signed counter, creating it on first use.
-// The namespace is separate from Counter's: the same name may exist in
-// both without aliasing.
-func (r *Registry) UpDown(name string) *UpDown {
-	u := r.updowns[name]
-	if u == nil {
-		u = &UpDown{}
-		r.updowns[name] = u
-	}
-	return u
 }
 
 // Gauge returns the named gauge, creating it on first use.
@@ -182,9 +138,6 @@ func (r *Registry) Snapshot(simTime float64) Snapshot {
 	s := Snapshot{Schema: SnapshotSchema, SimTime: simTime}
 	for _, name := range sortedKeys(r.counters) {
 		s.Counters = append(s.Counters, CounterSnap{Name: name, Value: r.counters[name].v})
-	}
-	for _, name := range sortedKeys(r.updowns) {
-		s.UpDowns = append(s.UpDowns, UpDownSnap{Name: name, Value: r.updowns[name].v})
 	}
 	for _, name := range sortedKeys(r.gauges) {
 		g := r.gauges[name]
@@ -229,20 +182,12 @@ type Snapshot struct {
 	Schema     string        `json:"schema"`
 	SimTime    float64       `json:"sim_time"`
 	Counters   []CounterSnap `json:"counters,omitempty"`
-	UpDowns    []UpDownSnap  `json:"updowns,omitempty"`
 	Gauges     []GaugeSnap   `json:"gauges,omitempty"`
 	Histograms []HistSnap    `json:"histograms,omitempty"`
 }
 
 // CounterSnap is one counter entry of a Snapshot.
 type CounterSnap struct {
-	Name  string `json:"name"`
-	Value int64  `json:"value"`
-}
-
-// UpDownSnap is one signed-counter entry of a Snapshot. The section is
-// additive (omitted when empty), so the schema stays at v1.
-type UpDownSnap struct {
 	Name  string `json:"name"`
 	Value int64  `json:"value"`
 }
@@ -275,19 +220,6 @@ type BucketSnap struct {
 	Lo    float64 `json:"lo"`
 	Hi    float64 `json:"hi"`
 	Count int64   `json:"count"`
-}
-
-// WriteJSON writes the snapshot as indented JSON plus a trailing
-// newline. encoding/json is deterministic for identical values, so
-// equal snapshots produce equal bytes.
-func (s Snapshot) WriteJSON(w io.Writer) error {
-	data, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	_, err = w.Write(data)
-	return err
 }
 
 // WriteSnapshots writes several runs' snapshots (e.g. one per

@@ -3,7 +3,6 @@ package obs
 import (
 	"errors"
 	"math"
-	"strings"
 	"testing"
 )
 
@@ -41,36 +40,6 @@ func TestCounterRejectsNegativeAdd(t *testing.T) {
 	}
 }
 
-func TestUpDownAcceptsAnySign(t *testing.T) {
-	var u UpDown
-	u.Add(5)
-	u.Add(-8)
-	u.Add(2)
-	if got := u.Value(); got != -1 {
-		t.Fatalf("Value() = %d, want -1", got)
-	}
-}
-
-func TestGaugeZeroValueAddContract(t *testing.T) {
-	// An Add before any Set shifts off an implicit 0: the two gauges
-	// below must be indistinguishable.
-	var byAdd, bySet Gauge
-	byAdd.Add(1, 3)
-	bySet.Set(1, 3)
-	byAdd.Add(2, -1)
-	bySet.Set(2, 2)
-	if byAdd.Last() != bySet.Last() {
-		t.Fatalf("Last: Add path %g, Set path %g", byAdd.Last(), bySet.Last())
-	}
-	if am, sm := byAdd.meanAt(4), bySet.meanAt(4); am != sm {
-		t.Fatalf("meanAt(4): Add path %g, Set path %g", am, sm)
-	}
-	if got := byAdd.meanAt(4); got != 7.0/3.0 {
-		// value 3 over [1,2), value 2 over [2,4): (3·1 + 2·2) / 3.
-		t.Fatalf("meanAt(4) = %g, want %g", got, 7.0/3.0)
-	}
-}
-
 func TestGaugeRejectsNonFinite(t *testing.T) {
 	bad := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
 	for _, v := range bad {
@@ -79,64 +48,18 @@ func TestGaugeRejectsNonFinite(t *testing.T) {
 			var g Gauge
 			g.Set(1, v)
 		})
-		mustPanicNonFinite(t, "Add", func() {
-			var g Gauge
-			g.Set(0, 1)
-			g.Add(1, v)
-		})
 	}
 	// A rejected update must not disturb the accumulator.
 	var g Gauge
 	g.Set(0, 2)
 	func() {
 		defer func() { recover() }()
-		g.Add(1, math.NaN())
+		g.Set(1, math.NaN())
 	}()
-	if g.Last() != 2 {
-		t.Fatalf("Last after rejected Add = %g, want 2", g.Last())
+	if g.last != 2 {
+		t.Fatalf("last after rejected Set = %g, want 2", g.last)
 	}
 	if got := g.meanAt(2); got != 2 {
-		t.Fatalf("meanAt(2) after rejected Add = %g, want 2", got)
-	}
-}
-
-func TestRegistryUpDownSnapshot(t *testing.T) {
-	reg := NewRegistry()
-	if reg.UpDown("sim.outstanding") != reg.UpDown("sim.outstanding") {
-		t.Fatal("UpDown did not return the registered instance")
-	}
-	reg.UpDown("sim.outstanding").Add(7)
-	reg.UpDown("sim.outstanding").Add(-3)
-	reg.UpDown("sim.balance").Add(-2)
-	reg.Counter("sim.arrivals").Add(1)
-
-	snap := reg.Snapshot(10)
-	if len(snap.UpDowns) != 2 {
-		t.Fatalf("got %d updown snaps, want 2", len(snap.UpDowns))
-	}
-	// Sorted by name, values carried through.
-	if snap.UpDowns[0].Name != "sim.balance" || snap.UpDowns[0].Value != -2 {
-		t.Fatalf("updowns[0] = %+v", snap.UpDowns[0])
-	}
-	if snap.UpDowns[1].Name != "sim.outstanding" || snap.UpDowns[1].Value != 4 {
-		t.Fatalf("updowns[1] = %+v", snap.UpDowns[1])
-	}
-
-	var sb strings.Builder
-	if err := snap.WriteJSON(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), `"updowns"`) {
-		t.Fatal("snapshot JSON is missing the updowns section")
-	}
-
-	// A registry with no updowns keeps the v1 document shape: the
-	// section is omitted entirely, not emitted as null or [].
-	var sb2 strings.Builder
-	if err := NewRegistry().Snapshot(1).WriteJSON(&sb2); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(sb2.String(), "updowns") {
-		t.Fatal("empty registry snapshot mentions updowns")
+		t.Fatalf("meanAt(2) after rejected Set = %g, want 2", got)
 	}
 }

@@ -107,7 +107,7 @@ func TestSnapshotDoesNotPerturbGauges(t *testing.T) {
 	g.Set(0, 1)
 	_ = reg.Snapshot(10) // closes a copy of the window at t=10
 	g.Set(5, 0)          // must not panic: live window still at t=0
-	if m := g.Mean(); m != 1 {
+	if m := g.tw.Mean(); m != 1 {
 		t.Errorf("mean after snapshot = %g, want 1 (window [0,5) at value 1)", m)
 	}
 }

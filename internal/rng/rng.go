@@ -114,37 +114,6 @@ func (s *Source) Exp(rate float64) float64 {
 	return -math.Log(1-s.Float64()) / rate
 }
 
-// Poisson returns a Poisson-distributed variate with the given mean,
-// using Knuth's product method for small means and a normal
-// approximation with continuity correction for large ones.
-func (s *Source) Poisson(mean float64) int {
-	if mean < 0 {
-		panic("rng: Poisson called with negative mean")
-	}
-	if mean == 0 {
-		return 0
-	}
-	if mean < 30 {
-		l := math.Exp(-mean)
-		k := 0
-		p := 1.0
-		for {
-			p *= s.Float64()
-			if p <= l {
-				return k
-			}
-			k++
-		}
-	}
-	// Normal approximation, adequate for the large-mean batch sizes
-	// used in workload generation.
-	n := int(math.Round(mean + math.Sqrt(mean)*s.Norm()))
-	if n < 0 {
-		n = 0
-	}
-	return n
-}
-
 // Norm returns a standard normal variate via the Marsaglia polar method.
 func (s *Source) Norm() float64 {
 	for {
@@ -178,11 +147,4 @@ func (s *Source) PermInto(dst []int) {
 		j := s.Intn(i + 1)
 		dst[i], dst[j] = dst[j], dst[i]
 	}
-}
-
-// Split derives an independent child generator from the current stream.
-// Children of distinct draws are statistically independent streams; use
-// this to give each simulated entity its own source without coupling.
-func (s *Source) Split() *Source {
-	return New(s.Uint64())
 }

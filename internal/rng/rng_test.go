@@ -133,28 +133,6 @@ func TestExpPanicsOnBadRate(t *testing.T) {
 	New(1).Exp(0)
 }
 
-func TestPoissonMean(t *testing.T) {
-	s := New(17)
-	for _, mean := range []float64{0.5, 3, 12, 80} {
-		sum := 0.0
-		const n = 50000
-		for i := 0; i < n; i++ {
-			sum += float64(s.Poisson(mean))
-		}
-		got := sum / n
-		if math.Abs(got-mean) > 0.05*mean+0.05 {
-			t.Errorf("Poisson(%g) mean = %v", mean, got)
-		}
-	}
-}
-
-func TestPoissonZero(t *testing.T) {
-	s := New(1)
-	if v := s.Poisson(0); v != 0 {
-		t.Errorf("Poisson(0) = %d, want 0", v)
-	}
-}
-
 func TestNormMoments(t *testing.T) {
 	s := New(19)
 	var sum, sumSq float64
@@ -192,21 +170,6 @@ func TestPermIsPermutation(t *testing.T) {
 		return true
 	}, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestSplitIndependence(t *testing.T) {
-	parent := New(31)
-	a := parent.Split()
-	b := parent.Split()
-	same := 0
-	for i := 0; i < 100; i++ {
-		if a.Uint64() == b.Uint64() {
-			same++
-		}
-	}
-	if same > 0 {
-		t.Errorf("split children produced %d identical values", same)
 	}
 }
 

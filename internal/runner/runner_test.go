@@ -231,7 +231,7 @@ func TestTelemetryWriteTrace(t *testing.T) {
 		return i
 	})
 	var sb strings.Builder
-	if err := tel.WriteTrace(&sb); err != nil {
+	if err := obs.WriteTraceJSON(&sb, tel.TraceEvents(0, "runner", 0)); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()

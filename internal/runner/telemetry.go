@@ -8,7 +8,6 @@ package runner
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 	"time"
@@ -137,14 +136,6 @@ func (t *Telemetry) TraceEvents(pid int, name string, offset time.Duration) []ob
 		})
 	}
 	return events
-}
-
-// WriteTrace writes the recorded timeline as a Chrome trace_event JSON
-// document, viewable alongside the simulated-time traces in the same
-// Perfetto UI. Unlike those, this trace reflects real scheduling and is
-// not expected to be identical across runs.
-func (t *Telemetry) WriteTrace(w io.Writer) error {
-	return obs.WriteTraceJSON(w, t.TraceEvents(0, "runner", 0))
 }
 
 // SinkProgress returns a Progress callback that rewrites a transient

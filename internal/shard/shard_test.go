@@ -135,29 +135,22 @@ func TestSubSeedsDecorrelated(t *testing.T) {
 	}
 }
 
-// shardOutput runs the 1024-processor reference config at the given
-// shards/workers setting and returns the three byte streams the
-// equivalence contract covers: the merged Result (JSON), the merged
-// attribution report, and the merged time series.
-func shardOutput(t *testing.T, shards, workers int) (res, attr, series []byte) {
+// shardOutput runs cfg through RunSubs and Merge with a trace, an
+// attribution recorder and a series recorder on every sub-network, and
+// returns the four byte streams the equivalence contract covers: the
+// merged Result (JSON), the merged attribution report, the merged time
+// series and the merged trace.
+func shardOutput(t *testing.T, cfg Config) (res, attr, series, trace []byte) {
 	t.Helper()
-	net := mustParse(t, "1024/16x64x64 XBAR/1")
-	lambda := queueing.LambdaForIntensity(0.6, 1024, 1, 0.1, 1024)
-	attrs := make([]*obs.AttrRecorder, net.Networks)
-	srs := make([]*obs.SeriesRecorder, net.Networks)
-	cfg := Config{
-		Net: net,
-		Sim: sim.Config{
-			Lambda: lambda, MuN: 1, MuS: 0.1,
-			Seed: 11, Warmup: 50, Samples: 4800,
-		},
-		Shards:  shards,
-		Workers: workers,
-		Probe: func(sub int) obs.Probe {
-			attrs[sub] = obs.NewAttrRecorder(5)
-			srs[sub] = obs.NewSeriesRecorder(64, 5)
-			return obs.Multi(attrs[sub], srs[sub])
-		},
+	subs := cfg.Net.Networks
+	traces := make([]*obs.Trace, subs)
+	attrs := make([]*obs.AttrRecorder, subs)
+	srs := make([]*obs.SeriesRecorder, subs)
+	cfg.Probe = func(sub int) obs.Probe {
+		traces[sub] = obs.NewTrace()
+		attrs[sub] = obs.NewAttrRecorder(5)
+		srs[sub] = obs.NewSeriesRecorder(cfg.Net.Inputs, 5)
+		return obs.Multi(traces[sub], attrs[sub], srs[sub])
 	}
 	plan, results, err := RunSubs(cfg)
 	if err != nil {
@@ -190,25 +183,41 @@ func shardOutput(t *testing.T, shards, workers int) (res, attr, series []byte) {
 	if err := obs.WriteSeries(&sb, []obs.Series{ms}); err != nil {
 		t.Fatal(err)
 	}
-	return res, ab.Bytes(), sb.Bytes()
+	var tb bytes.Buffer
+	if err := obs.WriteTraces(&tb, obs.MergeShardTraces(traces, plan.PidOff, plan.PortOff)); err != nil {
+		t.Fatal(err)
+	}
+	return res, ab.Bytes(), sb.Bytes(), tb.Bytes()
 }
 
-// TestShardWorkerInvariance is the equivalence proof of the issue: the
+// TestShardWorkerInvariance is the sharded equivalence proof: the
 // sharded run of a partitioned p=1024 config produces byte-identical
-// Result/attr/series output at shards ∈ {1, 2, 8} and workers ∈ {1, 8}.
-// Shards=1 is the monolithic baseline (one job runs every sub-network
-// sequentially); every other setting must reproduce its bytes exactly.
+// Result/attr/series/trace output at shards ∈ {1, 2, 8} and workers ∈
+// {1, 8}. Shards=1 is the monolithic baseline (one job runs every
+// sub-network sequentially); every other setting must reproduce its
+// bytes exactly.
 func TestShardWorkerInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("p=1024 differential matrix is not short")
 	}
-	refRes, refAttr, refSeries := shardOutput(t, 1, 1)
+	cfg := Config{
+		Net: mustParse(t, "1024/16x64x64 XBAR/1"),
+		Sim: sim.Config{
+			Lambda: queueing.LambdaForIntensity(0.6, 1024, 1, 0.1, 1024), MuN: 1, MuS: 0.1,
+			Seed: 11, Warmup: 50, Samples: 4800,
+		},
+	}
+	output := func(shards, workers int) (res, attr, series, trace []byte) {
+		cfg.Shards, cfg.Workers = shards, workers
+		return shardOutput(t, cfg)
+	}
+	refRes, refAttr, refSeries, refTrace := output(1, 1)
 	for _, shards := range []int{1, 2, 8} {
 		for _, workers := range []int{1, 8} {
 			if shards == 1 && workers == 1 {
 				continue
 			}
-			res, attr, series := shardOutput(t, shards, workers)
+			res, attr, series, trace := output(shards, workers)
 			if !bytes.Equal(res, refRes) {
 				t.Errorf("shards=%d workers=%d: merged Result differs from monolithic:\n%s\nvs\n%s", shards, workers, res, refRes)
 			}
@@ -217,6 +226,9 @@ func TestShardWorkerInvariance(t *testing.T) {
 			}
 			if !bytes.Equal(series, refSeries) {
 				t.Errorf("shards=%d workers=%d: merged series differs from monolithic", shards, workers)
+			}
+			if !bytes.Equal(trace, refTrace) {
+				t.Errorf("shards=%d workers=%d: merged trace differs from monolithic", shards, workers)
 			}
 		}
 	}

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"errors"
-	"math"
 	"testing"
 
 	"rsin/internal/bus"
@@ -29,57 +28,6 @@ func (n *neverNet) Processors() int                    { return n.procs }
 func (n *neverNet) Ports() int                         { return 1 }
 func (n *neverNet) TotalResources() int                { return 1 }
 func (n *neverNet) Name() string                       { return "never" }
-
-// TestDelayQuantileInterpolation pins the interpolating quantile
-// estimator. The pre-fix implementation truncated the fractional
-// position (biasing every quantile low: the median of {1,2,3,4} came
-// out as 2) and re-sorted the sample on every call.
-func TestDelayQuantileInterpolation(t *testing.T) {
-	res := Result{Delays: []float64{3, 1, 4, 2}} // unsorted on purpose
-	cases := []struct {
-		q    float64
-		want float64
-	}{
-		{0, 1},
-		{0.25, 1.75},
-		{0.5, 2.5}, // regression: truncation gave 2
-		{0.75, 3.25},
-		{0.95, 3.85},
-		{1, 4},
-	}
-	for _, c := range cases {
-		if got := res.DelayQuantile(c.q); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("DelayQuantile(%g) = %g, want %g", c.q, got, c.want)
-		}
-	}
-	if len(res.sortedDelays) != 4 {
-		t.Fatal("sorted sample not cached")
-	}
-	// The cache must not disturb the raw sample order.
-	if res.Delays[0] != 3 || res.Delays[3] != 2 {
-		t.Errorf("Delays mutated by quantile query: %v", res.Delays)
-	}
-	single := Result{Delays: []float64{7}}
-	for _, q := range []float64{0, 0.5, 1} {
-		if got := single.DelayQuantile(q); got != 7 {
-			t.Errorf("single-sample DelayQuantile(%g) = %g, want 7", q, got)
-		}
-	}
-}
-
-func TestDelayQuantilePanicsOutsideUnitInterval(t *testing.T) {
-	res := Result{Delays: []float64{1, 2}}
-	for _, q := range []float64{-0.1, 1.1} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("DelayQuantile(%g) did not panic", q)
-				}
-			}()
-			res.DelayQuantile(q)
-		}()
-	}
-}
 
 // TestSaturationBoundaryExact pins the MaxQueue cap to its documented
 // meaning: the run aborts the moment a queue reaches MaxQueue tasks.

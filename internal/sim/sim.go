@@ -22,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"rsin/internal/core"
 	"rsin/internal/invariant"
@@ -91,15 +90,16 @@ type Config struct {
 	RetryJitter float64
 
 	// CollectDelays, when set, stores every post-warmup delay sample in
-	// Result.Delays (Samples values), enabling quantile analysis beyond
-	// the mean the paper reports.
+	// Result.Delays (Samples values). The differential tests compare
+	// runs sample by sample through it, and internal/shard concatenates
+	// the per-sub samples in sub order.
 	CollectDelays bool
 
 	// ExportAccumulators, when set, attaches the run's raw statistical
 	// accumulators to Result.Accum so an orchestrator can combine
-	// per-shard runs exactly (internal/shard). The Result's derived
-	// fields (CIs, means) are not mergeable on their own — merging needs
-	// the underlying batch means and time-weighted windows.
+	// per-shard runs exactly (internal/shard). The Result's confidence
+	// intervals are not mergeable on their own — merging needs the
+	// underlying batch means.
 	ExportAccumulators bool
 
 	// Probe, when non-nil, receives every lifecycle event (arrivals,
@@ -126,51 +126,18 @@ type Result struct {
 	// Accum carries the run's raw accumulators when
 	// Config.ExportAccumulators is set; nil otherwise.
 	Accum *Accum
-
-	// sortedDelays caches the sorted copy of Delays built lazily by
-	// DelayQuantile, so repeated quantile queries sort once.
-	sortedDelays []float64
 }
 
 // Accum is the raw-accumulator export behind Config.ExportAccumulators:
 // the batch-means accumulators that produced the Delay/Response
-// intervals, and the closed (post-Finish) time-weighted windows behind
-// MeanQueue and Utilization. internal/shard folds these across shards
-// in canonical ascending order to build one merged Result.
+// intervals, and the port count that weights Utilization.
+// internal/shard folds the accumulators across shards in canonical
+// ascending order to build one merged Result; MeanQueue and
+// Utilization merge from the Result fields themselves.
 type Accum struct {
-	Delays    *stats.BatchMeans  // per-sample queueing delays
-	Responses *stats.BatchMeans  // per-task response times
-	QueueLen  stats.TimeWeighted // total queued tasks over the measurement window
-	BusyPorts stats.TimeWeighted // busy output ports over the measurement window
-	Ports     int                // net.Ports(), for the ports-weighted utilization merge
-}
-
-// DelayQuantile returns the q-quantile (0 ≤ q ≤ 1) of the collected
-// delay samples, linearly interpolating between order statistics (the
-// standard "type 7" estimator): q=0 is the minimum, q=1 the maximum,
-// q=0.5 of an even-sized sample the mean of the two middle values.
-// It requires Config.CollectDelays and panics otherwise, or when q is
-// outside [0, 1]. The sorted sample is cached on first use, so a sweep
-// of quantile queries pays for one sort.
-func (r *Result) DelayQuantile(q float64) float64 {
-	if len(r.Delays) == 0 {
-		panic("sim: DelayQuantile requires Config.CollectDelays")
-	}
-	if q < 0 || q > 1 {
-		panic(fmt.Sprintf("sim: quantile %g outside [0,1]", q))
-	}
-	if r.sortedDelays == nil {
-		r.sortedDelays = append([]float64(nil), r.Delays...)
-		sort.Float64s(r.sortedDelays)
-	}
-	s := r.sortedDelays
-	pos := q * float64(len(s)-1)
-	lo := int(pos)
-	if lo >= len(s)-1 {
-		return s[len(s)-1]
-	}
-	frac := pos - float64(lo)
-	return s[lo] + frac*(s[lo+1]-s[lo])
+	Delays    *stats.BatchMeans // per-sample queueing delays
+	Responses *stats.BatchMeans // per-task response times
+	Ports     int               // net.Ports(), for the ports-weighted utilization merge
 }
 
 // ErrSaturated is returned when a processor queue exceeds Config.MaxQueue,
@@ -445,13 +412,9 @@ func (k *kernel) result() Result {
 		res.Details = ds.DetailCounters()
 	}
 	if k.cfg.ExportAccumulators {
-		// queueLen/busyTW windows are closed (Finish above), so the
-		// copies are stable snapshots ready for window stitching.
 		res.Accum = &Accum{
 			Delays:    k.delays,
 			Responses: k.responses,
-			QueueLen:  k.queueLen,
-			BusyPorts: k.busyTW,
 			Ports:     net.Ports(),
 		}
 	}

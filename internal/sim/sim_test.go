@@ -332,7 +332,7 @@ func TestRetryJitter(t *testing.T) {
 	}
 }
 
-func TestCollectDelaysAndQuantiles(t *testing.T) {
+func TestCollectDelays(t *testing.T) {
 	cfg := Config{
 		Lambda: 0.05, MuN: 1, MuS: 0.1,
 		Seed: 51, Warmup: 500, Samples: 20000, CollectDelays: true,
@@ -344,32 +344,6 @@ func TestCollectDelaysAndQuantiles(t *testing.T) {
 	if len(res.Delays) != cfg.Samples {
 		t.Fatalf("collected %d delays, want %d", len(res.Delays), cfg.Samples)
 	}
-	p50 := res.DelayQuantile(0.5)
-	p95 := res.DelayQuantile(0.95)
-	p99 := res.DelayQuantile(0.99)
-	if !(p50 <= p95 && p95 <= p99) {
-		t.Errorf("quantiles not monotone: %v %v %v", p50, p95, p99)
-	}
-	// Exponential-ish delay distributions have P95 well above the mean.
-	if p95 < res.Delay.Mean {
-		t.Errorf("P95 %v below mean %v", p95, res.Delay.Mean)
-	}
-	if q0 := res.DelayQuantile(0); q0 > p50 {
-		t.Errorf("P0 %v above median %v", q0, p50)
-	}
-}
-
-func TestDelayQuantilePanicsWithoutCollection(t *testing.T) {
-	res, err := Run(bus.New(2, 2), Config{Lambda: 0.1, MuN: 1, MuS: 1, Samples: 100, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	res.DelayQuantile(0.5)
 }
 
 func TestPerProcessorRates(t *testing.T) {

@@ -32,20 +32,14 @@ func MSER5(x []float64) int {
 	return d * mserBatch
 }
 
-// MSER5Stat returns the truncation point (in raw observations) together
-// with the minimized MSER statistic — the squared standard error of the
-// post-truncation batch means. The statistic is what a quality gate
-// compares across truncation choices; math.NaN is returned when the
-// series is too short to batch.
-func MSER5Stat(x []float64) (int, float64) {
-	d, stat := mser5(x)
-	return d * mserBatch, stat
-}
-
 // ErrNonFiniteSample is the sentinel wrapped by the panic MSER5 raises
 // on NaN or ±Inf observations (same pattern as ErrTimeBackwards).
 var ErrNonFiniteSample = errors.New("stats: non-finite observation")
 
+// mser5 returns the truncation point in batches together with the
+// minimized MSER statistic, the squared standard error of the
+// post-truncation batch means; the statistic is NaN when the series is
+// too short to batch.
 func mser5(x []float64) (int, float64) {
 	m := len(x) / mserBatch
 	if m < 2 {

@@ -21,8 +21,8 @@ func TestMSER5TooShort(t *testing.T) {
 		if got := MSER5(x); got != 0 {
 			t.Fatalf("MSER5(len %d) = %d, want 0", n, got)
 		}
-		if _, stat := MSER5Stat(x); !math.IsNaN(stat) {
-			t.Fatalf("MSER5Stat(len %d) stat = %g, want NaN", n, stat)
+		if _, stat := mser5(x); !math.IsNaN(stat) {
+			t.Fatalf("mser5(len %d) stat = %g, want NaN", n, stat)
 		}
 	}
 }
@@ -77,8 +77,8 @@ func TestMSER5StatDropsAfterTransientRemoved(t *testing.T) {
 			x[i] = 1 + 0.01*g.next()
 		}
 	}
-	_, with := MSER5Stat(x)
-	_, without := MSER5Stat(x[40:])
+	_, with := mser5(x)
+	_, without := mser5(x[40:])
 	if math.IsNaN(with) || math.IsNaN(without) {
 		t.Fatal("unexpected NaN statistic")
 	}

@@ -162,54 +162,6 @@ func TestTQuantileMonotone(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	h.Add(-1) // underflow
-	h.Add(99) // overflow
-	if h.N() != 12 {
-		t.Errorf("N = %d, want 12", h.N())
-	}
-	for i := 0; i < 10; i++ {
-		if h.Bucket(i) != 1 {
-			t.Errorf("bucket %d = %d, want 1", i, h.Bucket(i))
-		}
-	}
-	med := h.Quantile(0.5)
-	if med < 3 || med > 7 {
-		t.Errorf("median = %v, want near 5", med)
-	}
-}
-
-func TestHistogramMeanIncludesOutliers(t *testing.T) {
-	h := NewHistogram(0, 1, 4)
-	h.Add(0.5)
-	h.Add(10)
-	if got := h.Mean(); math.Abs(got-5.25) > 1e-12 {
-		t.Errorf("Mean = %v, want 5.25", got)
-	}
-}
-
-func TestMedian(t *testing.T) {
-	if got := Median([]float64{3, 1, 2}); got != 2 {
-		t.Errorf("odd median = %v, want 2", got)
-	}
-	if got := Median([]float64{4, 1, 3, 2}); got != 2.5 {
-		t.Errorf("even median = %v, want 2.5", got)
-	}
-	if got := Median(nil); got != 0 {
-		t.Errorf("empty median = %v, want 0", got)
-	}
-	// Median must not mutate its input.
-	in := []float64{3, 1, 2}
-	Median(in)
-	if in[0] != 3 || in[1] != 1 || in[2] != 2 {
-		t.Error("Median mutated its input")
-	}
-}
-
 func TestAccessorsAndFormatting(t *testing.T) {
 	var tw TimeWeighted
 	if tw.Mean() != 0 {
@@ -224,20 +176,11 @@ func TestAccessorsAndFormatting(t *testing.T) {
 	if s := ci.String(); s != "1.5 ± 0.25" {
 		t.Errorf("CI.String() = %q", s)
 	}
-	h := NewHistogram(0, 1, 4)
-	if h.NumBuckets() != 4 {
-		t.Errorf("NumBuckets = %d", h.NumBuckets())
-	}
-	if h.Mean() != 0 || h.Quantile(0.5) != 0 {
-		t.Error("empty histogram should report zeros")
-	}
 }
 
 func TestConstructorPanics(t *testing.T) {
 	for name, f := range map[string]func(){
-		"batch size":       func() { NewBatchMeans(0) },
-		"histogram n":      func() { NewHistogram(0, 1, 0) },
-		"histogram bounds": func() { NewHistogram(1, 0, 4) },
+		"batch size": func() { NewBatchMeans(0) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			defer func() {
@@ -263,21 +206,6 @@ func TestTQuantileLevels(t *testing.T) {
 	}
 	if !math.IsInf(tQuantile(0.95, 0), 1) {
 		t.Error("df=0 should be +Inf")
-	}
-}
-
-func TestHistogramQuantileUnderflow(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(-5) // all underflow
-	}
-	if got := h.Quantile(0.5); got != 0 {
-		t.Errorf("all-underflow median = %v, want lo bound 0", got)
-	}
-	h2 := NewHistogram(0, 10, 10)
-	h2.Add(50)
-	if got := h2.Quantile(0.99); got != 10 {
-		t.Errorf("all-overflow quantile = %v, want hi bound 10", got)
 	}
 }
 
