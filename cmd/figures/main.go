@@ -29,8 +29,11 @@
 // -metrics writes per-artifact runner-telemetry summaries as JSON, and
 // -cpuprofile/-memprofile write pprof profiles.
 //
-// Invalid flag values and unsupported flag combinations are rejected
-// with a one-line error on stderr and exit status 1.
+// Invalid flag values, unsupported flag combinations and unknown -fig
+// names are rejected with a one-line error on stderr and exit status 1,
+// before any profile starts. A later failure also exits 1 with one
+// line, after stopping the profiles, so -cpuprofile still holds a valid
+// profile.
 package main
 
 import (
@@ -42,7 +45,9 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -55,9 +60,24 @@ import (
 	"rsin/internal/workload"
 )
 
+// artifacts lists every -fig name, in the order -fig all regenerates
+// them.
+var artifacts = []string{"4", "5", "7", "8", "11", "12", "13", "blocking", "compare", "table1", "table2", "ratio", "frontier"}
+
 func main() {
+	sink := obs.NewSink(os.Stderr)
+	if err := run(sink); err != nil {
+		sink.Logf("figures: %v", err)
+		os.Exit(1)
+	}
+}
+
+// run validates the command line, then starts the profiles and
+// regenerates the artifacts. Every failure returns its error, so the
+// deferred profile writers run on error exits too.
+func run(sink *obs.Sink) error {
 	var (
-		which    = flag.String("fig", "all", "which artifact: 4, 5, 7, 8, 11, 12, 13, blocking, compare, table1, table2, ratio, frontier, all")
+		which    = flag.String("fig", "all", "which artifact: "+strings.Join(artifacts, ", ")+", all")
 		quick    = flag.Bool("quick", false, "use the fast preset (noisier confidence intervals)")
 		format   = flag.String("format", "text", "output format for figure tables: text or csv")
 		workers  = flag.Int("workers", 0, "worker goroutines per sweep (0 = all CPUs); results are identical for any value")
@@ -76,27 +96,34 @@ func main() {
 		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
 	)
-	sink := obs.NewSink(os.Stderr)
-	parseFlags(sink)
+	if err := parseFlags(); err != nil {
+		return err
+	}
 	if *check {
 		invariant.Enable(true)
 	}
 	switch {
 	case *format != "text" && *format != "csv":
-		fatal(sink, fmt.Errorf("unknown -format %q (want text or csv)", *format))
+		return fmt.Errorf("unknown -format %q (want text or csv)", *format)
 	case *shards < 0:
-		fatal(sink, fmt.Errorf("-shards must be non-negative (got %d)", *shards))
+		return fmt.Errorf("-shards must be non-negative (got %d)", *shards)
 	case *attrTopK < 0:
-		fatal(sink, fmt.Errorf("-attr-topk must be non-negative (got %d)", *attrTopK))
+		return fmt.Errorf("-attr-topk must be non-negative (got %d)", *attrTopK)
 	case *shards > 0 && (*attrOut != "" || *seriesOut != ""):
-		fatal(sink, fmt.Errorf("-shards is incompatible with -attr/-series: the observation hook attaches one probe per sweep cell, which has no per-sub-network form (use cmd/rsinsim -shards for merged attribution and series)"))
+		return fmt.Errorf("-shards is incompatible with -attr/-series: the observation hook attaches one probe per sweep cell, which has no per-sub-network form (use cmd/rsinsim -shards for merged attribution and series)")
 	case !(*seriesDt > 0) || math.IsInf(*seriesDt, 0):
-		fatal(sink, fmt.Errorf("-series-dt must be positive and finite (got %g)", *seriesDt))
+		return fmt.Errorf("-series-dt must be positive and finite (got %g)", *seriesDt)
+	}
+	names := []string{*which}
+	if *which == "all" {
+		names = artifacts
+	} else if !slices.Contains(artifacts, *which) {
+		return fmt.Errorf("unknown figure %q", *which)
 	}
 	if *cpuProfile != "" {
 		stop, err := obs.StartCPUProfile(*cpuProfile)
 		if err != nil {
-			fatal(sink, err)
+			return err
 		}
 		defer stop()
 	}
@@ -128,7 +155,7 @@ func main() {
 	}
 	rhos := workload.PaperRhoGrid()
 
-	run := func(name string) error {
+	regenerate := func(name string) error {
 		if *progress {
 			q.Progress = runner.SinkProgress(sink, "fig "+name)
 		}
@@ -221,10 +248,6 @@ func main() {
 		}
 	}
 
-	names := []string{*which}
-	if *which == "all" {
-		names = []string{"4", "5", "7", "8", "11", "12", "13", "blocking", "compare", "table1", "table2", "ratio", "frontier"}
-	}
 	effWorkers := *workers
 	if effWorkers <= 0 {
 		effWorkers = runtime.NumCPU()
@@ -245,8 +268,8 @@ func main() {
 		if collector != nil {
 			q.Observe = collector.observe(n)
 		}
-		if err := run(n); err != nil {
-			fatal(sink, err)
+		if err := regenerate(n); err != nil {
+			return err
 		}
 		if *timing {
 			var s runner.Summary
@@ -274,7 +297,7 @@ func main() {
 		if err := writeJSONFile(*traceOut, func(f *os.File) error {
 			return obs.WriteTraceJSON(f, events)
 		}); err != nil {
-			fatal(sink, err)
+			return err
 		}
 	}
 	if *metricsOut != "" {
@@ -309,14 +332,13 @@ func main() {
 			_, err = f.Write(append(data, '\n'))
 			return err
 		}); err != nil {
-			fatal(sink, err)
+			return err
 		}
 	}
 	if collector != nil {
-		if err := collector.write(*attrOut, *seriesOut); err != nil {
-			fatal(sink, err)
-		}
+		return collector.write(*attrOut, *seriesOut)
 	}
+	return nil
 }
 
 // obsCollector gathers per-cell attribution reports and time series
@@ -410,18 +432,11 @@ func sortedLabels[V any](m map[string]V) []string {
 	return labels
 }
 
-// fatal reports err on the sink (clearing any transient status line
-// first) and exits.
-func fatal(sink *obs.Sink, err error) {
-	sink.Logf("figures: %v", err)
-	os.Exit(1)
-}
-
-// parseFlags parses the command line. A bad flag is reported like every
-// other invalid invocation, on one line through fatal, instead of the
-// flag package's message followed by the whole flag list; -h still
+// parseFlags parses the command line. A bad flag is returned and
+// reported like every other invalid invocation, on one line, instead of
+// the flag package's message followed by the whole flag list; -h still
 // prints the list.
-func parseFlags(sink *obs.Sink) {
+func parseFlags() error {
 	flag.CommandLine.Init("figures", flag.ContinueOnError)
 	flag.CommandLine.SetOutput(io.Discard)
 	err := flag.CommandLine.Parse(os.Args[1:])
@@ -430,9 +445,7 @@ func parseFlags(sink *obs.Sink) {
 		flag.Usage()
 		os.Exit(0)
 	}
-	if err != nil {
-		fatal(sink, err)
-	}
+	return err
 }
 
 // writeJSONFile creates path and hands it to write, closing cleanly.

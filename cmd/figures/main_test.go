@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"compress/gzip"
 	"errors"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -93,5 +95,39 @@ func TestAcceptedInvocations(t *testing.T) {
 		if !strings.HasPrefix(stdout, tc.want) {
 			t.Errorf("figures %v: stdout does not start with %q:\n%s", args, tc.want, stdout)
 		}
+	}
+}
+
+// TestCPUProfileSurvivesErrorExits pins both sides of -cpuprofile's
+// error handling: an unknown -fig name is rejected before the profile
+// starts and leaves no file, and a failure after the profile started
+// still stops it, leaving a complete gzipped profile.
+func TestCPUProfileSurvivesErrorExits(t *testing.T) {
+	dir := t.TempDir()
+	early := filepath.Join(dir, "early.prof")
+	if _, _, err := runFigures("-cpuprofile", early, "-fig", "nope"); err == nil {
+		t.Fatal("unknown figure: want a non-zero exit")
+	}
+	if _, err := os.Stat(early); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("unknown figure wrote a profile (stat err=%v)", err)
+	}
+
+	late := filepath.Join(dir, "late.prof")
+	_, msg, err := runFigures("-cpuprofile", late, "-fig", "11", "-timing=false",
+		"-attr", filepath.Join(dir, "missing", "a.json"))
+	if err == nil || !strings.HasPrefix(msg, "figures: ") || strings.Count(msg, "\n") != 1 {
+		t.Fatalf("-attr into a missing directory: err=%v stderr=%q, want one figures: line and a non-zero exit", err, msg)
+	}
+	f, err := os.Open(late)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		t.Fatalf("profile does not gunzip: %v", err)
+	}
+	if data, err := io.ReadAll(zr); err != nil || len(data) == 0 {
+		t.Fatalf("profile: %d bytes after gunzip, err=%v", len(data), err)
 	}
 }

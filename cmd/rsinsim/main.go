@@ -29,17 +29,15 @@
 // combination. Replication r of a sharded run derives its base seed as
 // DeriveSeed(seed, 0, r); sharding is a different estimator from the
 // classic single event loop (see internal/shard), so sharded and
-// unsharded runs agree statistically, not bitwise. -metrics is not
-// supported with -shards.
+// unsharded runs agree statistically, not bitwise.
 //
 // Observability (see internal/obs): -trace writes a Chrome trace_event
 // JSON of the simulated request lifecycle (openable in Perfetto or
-// chrome://tracing), -metrics writes per-replication metric snapshots
-// as JSON, -attr writes per-replication latency-attribution reports
-// (per-phase wait/block/tx/svc histograms, slowest requests, blocking
-// breakdown; rsin-attr-set/1), -series writes simulated-time series of
-// queue length, busy resources and blocked waiters sampled every
-// -series-dt time units (rsin-series-set/1), and
+// chrome://tracing), -attr writes per-replication latency-attribution
+// reports (per-phase wait/block/tx/svc histograms, slowest requests,
+// blocking breakdown; rsin-attr-set/1), -series writes simulated-time
+// series of queue length, busy resources and blocked waiters sampled
+// every -series-dt time units (rsin-series-set/1), and
 // -cpuprofile/-memprofile write pprof profiles. All simulated-time
 // files are keyed by simulated time only, so they are byte-identical
 // for any -workers value, exactly like stdout. Inspect the attr and
@@ -47,11 +45,14 @@
 //
 // -analytic prints the exact Markov solution of an SBUS configuration
 // instead of simulating it, so it rejects the flags that only a
-// simulation uses: -trace, -metrics, -attr, -series, -shards and -reps
-// above 1.
+// simulation uses: -trace, -attr, -series, -shards and -reps above 1.
 //
-// Invalid flag values and unsupported flag combinations are rejected
-// with a one-line error on stderr and exit status 1.
+// Invalid flag values, unsupported flag combinations and malformed
+// configurations are rejected with a one-line error on stderr and exit
+// status 1, before any profile starts. A later failure (a run that
+// fails, a file that cannot be written) also exits 1 with one line,
+// after stopping the profiles, so -cpuprofile still holds a valid
+// profile.
 package main
 
 import (
@@ -75,6 +76,16 @@ import (
 )
 
 func main() {
+	if err := run(); err != nil {
+		fmt.Fprintln(os.Stderr, "rsinsim:", err)
+		os.Exit(1)
+	}
+}
+
+// run validates the command line, then starts the profiles and runs
+// the command. Every failure returns its error, so the deferred profile
+// writers run on error exits too.
+func run() error {
 	var (
 		cfgStr   = flag.String("config", "16/1x16x16 OMEGA/2", "system configuration in p/ixjxk NET/r notation")
 		ratio    = flag.Float64("ratio", 0.1, "μs/μn ratio (transmission rate μn is fixed at 1)")
@@ -90,7 +101,6 @@ func main() {
 		check    = flag.Bool("check", false, "enable runtime model-invariant checks (see internal/invariant)")
 
 		traceOut   = flag.String("trace", "", "write a Chrome trace_event JSON of the simulated lifecycle to this file (open in Perfetto; byte-identical for any -workers value)")
-		metricsOut = flag.String("metrics", "", "write per-replication metrics snapshots (counters, time-weighted gauges, delay histograms) as JSON to this file")
 		attrOut    = flag.String("attr", "", "write per-replication latency-attribution reports (rsin-attr-set/1 JSON) to this file")
 		attrTopK   = flag.Int("attr-topk", 10, "slowest requests kept per replication in the -attr report")
 		seriesOut  = flag.String("series", "", "write per-replication simulated-time series (rsin-series-set/1 JSON) to this file")
@@ -98,36 +108,35 @@ func main() {
 		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
 	)
-	parseFlags()
+	if err := parseFlags(); err != nil {
+		return err
+	}
 	if *check {
 		invariant.Enable(true)
 	}
 	if !(*seriesDt > 0) || math.IsInf(*seriesDt, 0) {
-		fatal(fmt.Errorf("-series-dt must be positive and finite (got %g)", *seriesDt))
+		return fmt.Errorf("-series-dt must be positive and finite (got %g)", *seriesDt)
 	}
 	if !(*ratio > 0) || math.IsInf(*ratio, 0) {
-		fatal(fmt.Errorf("-ratio must be positive and finite (got %g)", *ratio))
+		return fmt.Errorf("-ratio must be positive and finite (got %g)", *ratio)
 	}
 	if math.IsNaN(*rho) || math.IsInf(*rho, 0) {
-		fatal(fmt.Errorf("-rho must be finite (got %g)", *rho))
+		return fmt.Errorf("-rho must be finite (got %g)", *rho)
 	}
 	if math.IsNaN(*lambda) || math.IsInf(*lambda, 0) {
-		fatal(fmt.Errorf("-lambda must be finite (got %g)", *lambda))
+		return fmt.Errorf("-lambda must be finite (got %g)", *lambda)
 	}
 	if math.IsNaN(*warmup) || math.IsInf(*warmup, 0) {
-		fatal(fmt.Errorf("-warmup must be finite (got %g)", *warmup))
+		return fmt.Errorf("-warmup must be finite (got %g)", *warmup)
 	}
 	if *samples < 1 {
-		fatal(fmt.Errorf("-samples must be at least 1 (got %d)", *samples))
+		return fmt.Errorf("-samples must be at least 1 (got %d)", *samples)
 	}
 	if *attrTopK < 0 {
-		fatal(fmt.Errorf("-attr-topk must be non-negative (got %d)", *attrTopK))
+		return fmt.Errorf("-attr-topk must be non-negative (got %d)", *attrTopK)
 	}
 	if *shards < 0 {
-		fatal(fmt.Errorf("-shards must be non-negative (got %d)", *shards))
-	}
-	if *shards > 0 && *metricsOut != "" {
-		fatal(fmt.Errorf("-metrics is not supported with -shards: metric registries have no shard merge (use -trace, -attr, or -series)"))
+		return fmt.Errorf("-shards must be non-negative (got %d)", *shards)
 	}
 	if *analytic {
 		// The exact Markov path prints one solution: there is no
@@ -137,21 +146,27 @@ func main() {
 			set  bool
 		}{
 			{"-trace", *traceOut != ""},
-			{"-metrics", *metricsOut != ""},
 			{"-attr", *attrOut != ""},
 			{"-series", *seriesOut != ""},
 			{"-shards", *shards > 0},
 			{"-reps", *reps > 1},
 		} {
 			if f.set {
-				fatal(fmt.Errorf("%s is not supported with -analytic: the exact Markov solution runs no simulation", f.name))
+				return fmt.Errorf("%s is not supported with -analytic: the exact Markov solution runs no simulation", f.name)
 			}
 		}
+	}
+	cfg, err := config.Parse(*cfgStr)
+	if err != nil {
+		return err
+	}
+	if *analytic && cfg.Type != config.SBUS {
+		return fmt.Errorf("-analytic supports SBUS configurations only (got %s)", cfg.Type)
 	}
 	if *cpuProfile != "" {
 		stop, err := obs.StartCPUProfile(*cpuProfile)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		defer stop()
 	}
@@ -163,13 +178,6 @@ func main() {
 		}()
 	}
 
-	cfg, err := config.Parse(*cfgStr)
-	if err != nil {
-		fatal(err)
-	}
-	if *analytic && cfg.Type != config.SBUS {
-		fatal(fmt.Errorf("-analytic supports SBUS configurations only (got %s)", cfg.Type))
-	}
 	muN := 1.0
 	muS := *ratio * muN
 	lam := *lambda
@@ -188,14 +196,14 @@ func main() {
 			P: cfg.Inputs, Lambda: lam, MuN: muN, MuS: muS, R: cfg.PerPort,
 		})
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		fmt.Printf("analytic delay d        : %.6g\n", res.Delay)
 		fmt.Printf("normalized delay d·μs   : %.6g\n", res.NormalizedDelay)
 		fmt.Printf("bus utilization         : %.4g\n", invariant.MustProbability("markov", "bus utilization", res.BusUtilization))
 		fmt.Printf("resource utilization    : %.4g\n", invariant.MustProbability("markov", "resource utilization", res.ResourceUtil))
 		fmt.Printf("P(all resources busy)   : %.4g\n", invariant.MustProbability("markov", "P(all busy)", res.PAllBusy))
-		return
+		return nil
 	}
 
 	if *reps < 1 {
@@ -215,7 +223,6 @@ func main() {
 	if *attrOut != "" {
 		attrs = make([]*obs.AttrRecorder, *reps)
 	}
-	var regs []*obs.Registry
 	var seriesRecs []*obs.SeriesRecorder
 	var seriesMerged []obs.Series
 	type repOut struct {
@@ -274,11 +281,11 @@ func main() {
 			}
 			plan, results, err := shard.RunSubs(shcfg)
 			if err != nil {
-				fatal(err)
+				return err
 			}
 			res, err := shard.Merge(plan, muS, results)
 			if err != nil {
-				fatal(err)
+				return err
 			}
 			outs[r] = repOut{res: res}
 			if subTraces != nil {
@@ -298,7 +305,7 @@ func main() {
 				}
 				merged, err := obs.MergeSeries(repLabel(cfg.String(), r), runs)
 				if err != nil {
-					fatal(err)
+					return err
 				}
 				seriesMerged[r] = merged
 			}
@@ -306,12 +313,6 @@ func main() {
 	} else {
 		for r := range traces {
 			traces[r] = obs.NewTrace()
-		}
-		if *metricsOut != "" {
-			regs = make([]*obs.Registry, *reps)
-			for r := range regs {
-				regs[r] = obs.NewRegistry()
-			}
 		}
 		for r := range attrs {
 			attrs[r] = obs.NewAttrRecorder(*attrTopK)
@@ -331,11 +332,6 @@ func main() {
 			if traces != nil {
 				probe = traces[r]
 			}
-			if regs != nil {
-				rec := obs.NewRecorder(regs[r])
-				rec.PreparePorts(net.Ports())
-				probe = obs.Multi(probe, rec)
-			}
 			if attrs != nil {
 				probe = obs.Multi(probe, attrs[r])
 			}
@@ -352,22 +348,16 @@ func main() {
 	}
 	for _, o := range outs {
 		if o.err != nil {
-			fatal(o.err)
+			return o.err
 		}
 	}
 	res := outs[0].res
 	if *traceOut != "" {
-		if err := writeTraceFile(*traceOut, traces); err != nil {
-			fatal(err)
-		}
-	}
-	if *metricsOut != "" {
-		snaps := make([]obs.Snapshot, *reps)
-		for r := range snaps {
-			snaps[r] = regs[r].Snapshot(outs[r].res.SimTime)
-		}
-		if err := writeMetricsFile(*metricsOut, snaps); err != nil {
-			fatal(err)
+		// Replication r is trace process r.
+		if err := writeObsFile(*traceOut, func(f *os.File) error {
+			return obs.WriteTraces(f, traces...)
+		}); err != nil {
+			return err
 		}
 	}
 	if *attrOut != "" {
@@ -378,7 +368,7 @@ func main() {
 		if err := writeObsFile(*attrOut, func(f *os.File) error {
 			return obs.WriteAttributions(f, atts)
 		}); err != nil {
-			fatal(err)
+			return err
 		}
 	}
 	if *seriesOut != "" {
@@ -393,7 +383,7 @@ func main() {
 		if err := writeObsFile(*seriesOut, func(f *os.File) error {
 			return obs.WriteSeries(f, series)
 		}); err != nil {
-			fatal(err)
+			return err
 		}
 	}
 	fmt.Printf("wall-clock              : %s\n", sw.Elapsed().Round(time.Millisecond))
@@ -410,7 +400,7 @@ func main() {
 		fmt.Printf("pooled delay d          : %s\n", pooled)
 		fmt.Printf("pooled normalized d·μs  : %s\n",
 			stats.CI{Mean: pooled.Mean * muS, HalfWide: pooled.HalfWide * muS, N: pooled.N})
-		return
+		return nil
 	}
 	fmt.Printf("simulated delay d       : %s\n", res.Delay)
 	fmt.Printf("normalized delay d·μs   : %s\n", res.NormalizedDelay)
@@ -427,18 +417,14 @@ func main() {
 		fmt.Printf("interchange box visits  : %.3f per grant (%d rejects)\n",
 			float64(tel.BoxVisits)/float64(tel.Grants), tel.Rejects)
 	}
+	return nil
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "rsinsim:", err)
-	os.Exit(1)
-}
-
-// parseFlags parses the command line. A bad flag is reported like every
-// other invalid invocation, on one line through fatal, instead of the
-// flag package's message followed by the whole flag list; -h still
+// parseFlags parses the command line. A bad flag is returned and
+// reported like every other invalid invocation, on one line, instead of
+// the flag package's message followed by the whole flag list; -h still
 // prints the list.
-func parseFlags() {
+func parseFlags() error {
 	flag.CommandLine.Init("rsinsim", flag.ContinueOnError)
 	flag.CommandLine.SetOutput(io.Discard)
 	err := flag.CommandLine.Parse(os.Args[1:])
@@ -447,31 +433,7 @@ func parseFlags() {
 		flag.Usage()
 		os.Exit(0)
 	}
-	if err != nil {
-		fatal(err)
-	}
-}
-
-// writeTraceFile merges the per-replication traces (replication r is
-// process r) into one Chrome trace_event JSON file.
-func writeTraceFile(path string, traces []*obs.Trace) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := obs.WriteTraces(f, traces...); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// writeMetricsFile writes the per-replication metrics snapshots, in
-// replication order, as one JSON document.
-func writeMetricsFile(path string, snaps []obs.Snapshot) error {
-	return writeObsFile(path, func(f *os.File) error {
-		return obs.WriteSnapshots(f, snaps)
-	})
+	return err
 }
 
 // writeObsFile creates path and runs the given writer against it.

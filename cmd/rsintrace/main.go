@@ -24,6 +24,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 )
 
@@ -45,8 +46,8 @@ flags:
 func main() {
 	var (
 		jsonOut = flag.Bool("json", false, "emit canonical JSON instead of text (attr, series)")
-		topK    = flag.Int("k", 10, "requests listed by the top command")
-		tol     = flag.Float64("tol", 0.05, "relative phase-mean change tolerated by diff before flagging a regression")
+		topK    = flag.Int("k", 10, "requests listed by the top command (a negative value lists every request)")
+		tol     = flag.Float64("tol", 0.05, "relative phase-mean change tolerated by diff before flagging a regression (non-negative and finite)")
 	)
 	flag.Usage = usage
 	flag.Parse()
@@ -61,6 +62,12 @@ func main() {
 		os.Exit(2)
 	}
 	files := flag.Args()
+	// A NaN tolerance would pass every phase and a negative one fail
+	// every phase, so either would silently break the regression gate.
+	if !(*tol >= 0) || math.IsInf(*tol, 0) {
+		fmt.Fprintf(os.Stderr, "rsintrace: -tol must be non-negative and finite (got %g)\n", *tol)
+		os.Exit(2)
+	}
 	need := func(n int) {
 		if len(files) != n {
 			fmt.Fprintf(os.Stderr, "rsintrace: %s takes exactly %d file argument(s)\n", cmd, n)

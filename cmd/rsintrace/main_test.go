@@ -2,13 +2,122 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
 	"flag"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden rsintrace report")
+
+// runMainEnv makes the re-executed test binary run the command itself,
+// so the tests below observe main's real exit status and stderr.
+const runMainEnv = "RSINTRACE_TEST_RUN_MAIN"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(runMainEnv) == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// runRsintrace re-executes the test binary as the command.
+func runRsintrace(args ...string) (stdout, stderr string, err error) {
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	var out, errOut bytes.Buffer
+	cmd.Stdout = &out
+	cmd.Stderr = &errOut
+	err = cmd.Run()
+	return out.String(), errOut.String(), err
+}
+
+// TestRejectedInvocations pins every invalid invocation to exit status
+// 2 with one "rsintrace: ..." line on stderr, nothing on stdout and no
+// panic.
+func TestRejectedInvocations(t *testing.T) {
+	dir := t.TempDir()
+	attr := filepath.Join(dir, "a.json")
+	writeTestAttr(t, attr, 1.0)
+	series := filepath.Join(dir, "s.json")
+	writeTestSeries(t, series)
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"tol NaN", []string{"diff", "-tol", "NaN", attr, attr}},
+		{"tol Inf", []string{"diff", "-tol", "+Inf", attr, attr}},
+		{"tol -Inf", []string{"diff", "-tol", "-Inf", attr, attr}},
+		{"tol negative", []string{"diff", "-tol", "-1", attr, attr}},
+		{"tol before the command", []string{"-tol", "NaN", "diff", attr, attr}},
+		{"diff with one file", []string{"diff", attr}},
+		{"attr with two files", []string{"attr", attr, attr}},
+		{"missing file", []string{"attr", filepath.Join(dir, "missing.json")}},
+		{"series file as attr", []string{"attr", series}},
+		{"attr file as series", []string{"series", attr}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			stdout, msg, err := runRsintrace(tc.args...)
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+				t.Fatalf("want exit status 2, got err=%v", err)
+			}
+			if strings.Contains(msg, "panic:") {
+				t.Fatalf("panicked:\n%s", msg)
+			}
+			if !strings.HasPrefix(msg, "rsintrace: ") || strings.Count(msg, "\n") != 1 {
+				t.Errorf("want one \"rsintrace: ...\" line on stderr, got %q", msg)
+			}
+			if stdout != "" {
+				t.Errorf("rejected invocation wrote to stdout: %q", stdout)
+			}
+		})
+	}
+}
+
+// TestAcceptedInvocations pins the working form of every command: exit
+// 0, empty stderr and the expected first line. A negative -k lists
+// every request, and a zero -tol passes identical files.
+func TestAcceptedInvocations(t *testing.T) {
+	dir := t.TempDir()
+	attr := filepath.Join(dir, "a.json")
+	writeTestAttr(t, attr, 1.0)
+	series := filepath.Join(dir, "s.json")
+	writeTestSeries(t, series)
+	for _, tc := range []struct {
+		args  []string
+		want  string
+		lines int // stdout lines, or 0 to skip the count
+	}{
+		{[]string{"attr", attr}, "run 0: test run\n", 0},
+		{[]string{"attr", "-json", attr}, "{", 0},
+		{[]string{"top", "-k", "1", attr}, "run  req ", 2},
+		{[]string{"top", "-k", "-1", attr}, "run  req ", 3},
+		{[]string{"series", series}, "run 0: test run\n", 0},
+		{[]string{"diff", attr, attr}, "run 0: test run\n", 0},
+		{[]string{"diff", "-tol", "0", attr, attr}, "run 0: test run\n", 0},
+		{[]string{"trace", goldenTrace}, "sim run 0\n", 0},
+	} {
+		stdout, stderr, err := runRsintrace(tc.args...)
+		if err != nil || stderr != "" {
+			t.Errorf("rsintrace %v: err=%v stderr=%q", tc.args, err, stderr)
+		}
+		if !strings.HasPrefix(stdout, tc.want) {
+			t.Errorf("rsintrace %v: stdout does not start with %q:\n%s", tc.args, tc.want, stdout)
+		}
+		if n := strings.Count(stdout, "\n"); tc.lines > 0 && n != tc.lines {
+			t.Errorf("rsintrace %v: %d stdout lines, want %d:\n%s", tc.args, n, tc.lines, stdout)
+		}
+		if tc.want == "{" && !json.Valid([]byte(stdout)) {
+			t.Errorf("rsintrace %v: stdout is not valid JSON", tc.args)
+		}
+	}
+}
 
 // goldenTrace is the repository's committed golden trace (the p=256
 // partitioned-Omega configuration golden_trace_test.go pins).

@@ -41,6 +41,14 @@ type AttrRecorder struct {
 	top []SlowRequest // sorted: resp descending, then req ascending
 }
 
+// Phase histograms cover [2^-20, 2^12): sub-microsecond spans of a
+// μn=1 system down to the underflow bucket (exact zeros), and anything
+// beyond ~4096 time units into overflow.
+const (
+	histMinExp = -20
+	histMaxExp = 12
+)
+
 // NewAttrRecorder returns a recorder keeping the k slowest measured
 // requests (k ≤ 0 keeps none). The top-K buffer is allocated up front,
 // so Event never touches the heap.
@@ -166,6 +174,44 @@ func (a Attribution) Phase(name string) HistSnap {
 		}
 	}
 	return HistSnap{Name: name}
+}
+
+// HistSnap is one phase histogram of an Attribution. Buckets with zero
+// count are omitted; Under/Over hold the out-of-range tails.
+type HistSnap struct {
+	Name    string       `json:"name"`
+	Count   int64        `json:"count"`
+	Sum     float64      `json:"sum"`
+	Mean    float64      `json:"mean"`
+	Under   int64        `json:"under"`
+	Over    int64        `json:"over"`
+	P50     float64      `json:"p50"`
+	P95     float64      `json:"p95"`
+	P99     float64      `json:"p99"`
+	Buckets []BucketSnap `json:"buckets,omitempty"`
+}
+
+// BucketSnap is one populated histogram bucket [Lo, Hi).
+type BucketSnap struct {
+	Lo    float64 `json:"lo"`
+	Hi    float64 `json:"hi"`
+	Count int64   `json:"count"`
+}
+
+// histSnapOf freezes one histogram into its report entry.
+func histSnapOf(name string, h *stats.Log2Histogram) HistSnap {
+	hs := HistSnap{
+		Name: name, Count: h.N(), Sum: h.Sum(), Mean: h.Mean(),
+		Under: h.Under(), Over: h.Over(),
+		P50: h.Quantile(0.50), P95: h.Quantile(0.95), P99: h.Quantile(0.99),
+	}
+	for i := 0; i < h.NumBuckets(); i++ {
+		if c := h.Bucket(i); c > 0 {
+			lo, hi := h.BucketBounds(i)
+			hs.Buckets = append(hs.Buckets, BucketSnap{Lo: lo, Hi: hi, Count: c})
+		}
+	}
+	return hs
 }
 
 // SlowRequest is one entry of the slowest-requests table: the request's

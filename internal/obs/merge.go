@@ -130,15 +130,15 @@ func MergeShardTraces(traces []*Trace, pidOffsets, portOffsets []int) *Trace {
 		}
 		e := traces[best].events[heads[best]]
 		heads[best]++
-		if e.Ph != 'C' {
-			// Counter tracks are keyed by name and stay global; every
-			// other record sits on a processor or port track that moves
-			// to its shard's slice of the namespace.
-			if e.Tid >= portTidBase {
-				e.Tid = portTidBase + (e.Tid - portTidBase) + portOffsets[best]
-			} else {
-				e.Tid += pidOffsets[best]
-			}
+		// Counter tracks are keyed by name and stay global; every other
+		// record sits on a processor or port track that moves to its
+		// shard's slice of the namespace.
+		switch {
+		case e.Ph == 'C':
+		case onPortTrack(e):
+			e.Tid += portOffsets[best]
+		default:
+			e.Tid += pidOffsets[best]
 		}
 		if e.Ph == 'C' && len(e.Args) == 1 {
 			v, ok := argInt64(e.Args[0].Val)

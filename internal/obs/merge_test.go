@@ -167,18 +167,18 @@ func TestMergeShardTracesLiftsTrackIds(t *testing.T) {
 	if len(ev) != 2 {
 		t.Fatalf("merged %d events, want 2", len(ev))
 	}
-	if ev[0].Tid != portTidBase+1 {
-		t.Errorf("shard 0 svc track = %d, want %d", ev[0].Tid, portTidBase+1)
+	if ev[0].Tid != 1 {
+		t.Errorf("shard 0 svc track = port %d, want 1", ev[0].Tid)
 	}
-	if ev[1].Tid != portTidBase+4 {
-		t.Errorf("shard 1 svc track = %d, want %d (port 0 + offset 4)", ev[1].Tid, portTidBase+4)
+	if ev[1].Tid != 4 {
+		t.Errorf("shard 1 svc track = port %d, want 4 (port 0 + offset 4)", ev[1].Tid)
 	}
 	// The "proc" arg on the svc slice must be lifted too.
 	if v, _ := argInt64(ev[1].Args[0].Val); v != 4 {
 		t.Errorf("shard 1 svc proc arg = %d, want 4", v)
 	}
 	// Source traces must be untouched.
-	if s1.Events()[0].Tid != portTidBase || s1.Events()[0].Args[0].Val.(int) != 0 {
+	if s1.Events()[0].Tid != 0 || s1.Events()[0].Args[0].Val.(int) != 0 {
 		t.Error("merge mutated a source trace")
 	}
 }

@@ -1,14 +1,15 @@
 // Package obs is the deterministic observability layer of the rsin
 // stack. It has two strictly separated halves:
 //
-// Simulated-time instrumentation (this file, metrics.go, trace.go):
-// the Probe interface receives per-request lifecycle events from the
-// discrete-event engine, keyed exclusively by simulated time. The
-// recorders built on it — the metrics Registry and the Chrome
-// trace_event exporter — therefore inherit the engine's determinism
-// contract: their output is byte-identical for any worker count and
-// any scheduling order, because nothing in them ever consults the wall
-// clock.
+// Simulated-time instrumentation (this file, attr.go, series.go,
+// trace.go, merge.go): the Probe interface receives per-request
+// lifecycle events from the discrete-event engine, keyed exclusively by
+// simulated time. The recorders built on it — the latency-attribution
+// AttrRecorder, the sampled SeriesRecorder and the Chrome trace_event
+// exporter — and their shard merges therefore inherit the engine's
+// determinism contract: their output is byte-identical for any worker
+// count and any scheduling order, because nothing in them ever
+// consults the wall clock.
 //
 // Wall-clock telemetry (sink.go, walltime.go, profile.go): the
 // serialized stderr Sink, the Stopwatch, and the pprof helpers used by
@@ -54,10 +55,6 @@ const (
 	// Pure status blocks — where the processor never entered the
 	// network — emit nothing.
 	KindReject
-	// KindReroute: reserved for networks that report mid-route path
-	// changes as distinct events (the engine folds reroutes into
-	// KindGrant's Aux today).
-	KindReroute
 	// KindComplete: the request's full lifecycle closed (service done).
 	// Emitted after KindRelease at the same instant, it carries the
 	// exact latency attribution: Dur is the response time (arrival →
@@ -73,7 +70,7 @@ const (
 	numKinds
 )
 
-// String returns the kind's wire name (used in trace and metric names).
+// String returns the kind's name.
 func (k Kind) String() string {
 	switch k {
 	case KindArrival:
@@ -90,8 +87,6 @@ func (k Kind) String() string {
 		return "release"
 	case KindReject:
 		return "reject"
-	case KindReroute:
-		return "reroute"
 	case KindComplete:
 		return "complete"
 	default:

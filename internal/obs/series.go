@@ -9,10 +9,19 @@ package obs
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 )
+
+// ErrNonFiniteMetric is the sentinel wrapped by the panic
+// NewSeriesRecorder raises on a non-positive or non-finite grid step.
+// A degenerate grid is a programming error at the instrumentation site,
+// so the recorder panics rather than sampling garbage — but with an
+// error value wrapping this sentinel so recovery code can classify it
+// with errors.Is, the same pattern as stats.ErrTimeBackwards.
+var ErrNonFiniteMetric = errors.New("obs: invalid metric update")
 
 // SeriesSchema identifies one run's time series; SeriesSetSchema wraps
 // a list of them (one per replication, in replication order). Bump on

@@ -2,6 +2,8 @@ package obs
 
 import (
 	"bytes"
+	"errors"
+	"math"
 	"testing"
 )
 
@@ -108,11 +110,15 @@ func TestSeriesRoundTripAndBytes(t *testing.T) {
 }
 
 func TestSeriesRecorderRejectsBadDt(t *testing.T) {
-	for _, dt := range []float64{0, -1} {
+	for _, dt := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
 		func() {
 			defer func() {
-				if recover() == nil {
+				r := recover()
+				if r == nil {
 					t.Fatalf("dt=%g: no panic", dt)
+				}
+				if err, ok := r.(error); !ok || !errors.Is(err, ErrNonFiniteMetric) {
+					t.Fatalf("dt=%g: panic %v does not wrap ErrNonFiniteMetric", dt, r)
 				}
 			}()
 			NewSeriesRecorder(1, dt)

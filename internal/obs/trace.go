@@ -120,15 +120,19 @@ func WriteTraceJSON(w io.Writer, events []TraceEvent) error {
 	return err
 }
 
-// portTidBase offsets output-port track ids above any realistic
-// processor count, so processor and port tracks never collide.
+// portTidBase is the track id of output port 0 while a run's processor
+// ids stay below it. WriteTraces raises the base to the first power of
+// ten above the largest processor id, so processor and port tracks
+// never collide at any processor count.
 const portTidBase = 1000
 
 // Trace is a Probe that records a simulation's lifecycle as trace
 // slices: per-processor tracks carry the queue-wait and transmission
 // slices plus reject/reroute instants; per-port tracks carry the
 // service slices; counter tracks plot the total queue length and busy
-// ports over simulated time.
+// ports over simulated time. A recorded event's Tid is its processor
+// id, or its port id when it sits on a port track (see onPortTrack);
+// WriteTraces lays the port tracks out above the processor tracks.
 type Trace struct {
 	events  []TraceEvent
 	txStart map[int]float64 // per-processor transmit-start time
@@ -174,7 +178,7 @@ func (t *Trace) Event(e Event) {
 		})
 	case KindRelease:
 		t.events = append(t.events, TraceEvent{
-			Name: "svc", Cat: "task", Ph: 'X', Ts: e.T - e.Dur, Dur: e.Dur, Tid: portTidBase + e.Port,
+			Name: "svc", Cat: "task", Ph: 'X', Ts: e.T - e.Dur, Dur: e.Dur, Tid: e.Port,
 			Args: []Arg{{"proc", e.Pid}},
 		})
 	case KindReject:
@@ -184,6 +188,11 @@ func (t *Trace) Event(e Event) {
 		})
 	}
 }
+
+// onPortTrack reports whether a recorded event sits on a port track:
+// service slices do, every other record sits on a processor track or,
+// for counters, on track 0.
+func onPortTrack(e TraceEvent) bool { return e.Name == "svc" }
 
 // counter appends a counter sample.
 func (t *Trace) counter(ts float64, name string, v int) {
@@ -202,7 +211,9 @@ func (t *Trace) Events() []TraceEvent { return t.events }
 // WriteTraces writes one or more recorded traces (e.g. one per
 // replication, in replication order) as a single Chrome trace JSON
 // document. Trace i becomes process i, with naming metadata for the
-// process and every processor/port track it used.
+// process and every processor/port track it used. Port j's track id is
+// base+j, where base is portTidBase, or the first power of ten above
+// the run's processor ids when it has that many processors.
 func WriteTraces(w io.Writer, traces ...*Trace) error {
 	var all []TraceEvent
 	for i, t := range traces {
@@ -210,29 +221,49 @@ func WriteTraces(w io.Writer, traces ...*Trace) error {
 			Name: "process_name", Ph: 'M', Pid: i,
 			Args: []Arg{{"name", fmt.Sprintf("sim run %d", i)}},
 		})
-		tids := map[int]bool{}
+		procs, ports := map[int]bool{}, map[int]bool{}
 		for _, e := range t.events {
-			tids[e.Tid] = true
-		}
-		sorted := make([]int, 0, len(tids))
-		for tid := range tids {
-			sorted = append(sorted, tid)
-		}
-		sort.Ints(sorted)
-		for _, tid := range sorted {
-			name := fmt.Sprintf("proc %d", tid)
-			if tid >= portTidBase {
-				name = fmt.Sprintf("port %d", tid-portTidBase)
+			if onPortTrack(e) {
+				ports[e.Tid] = true
+			} else {
+				procs[e.Tid] = true
 			}
+		}
+		base := portTidBase
+		for pid := range procs {
+			for pid >= base {
+				base *= 10
+			}
+		}
+		for _, pid := range sortedIDs(procs) {
 			all = append(all, TraceEvent{
-				Name: "thread_name", Ph: 'M', Pid: i, Tid: tid,
-				Args: []Arg{{"name", name}},
+				Name: "thread_name", Ph: 'M', Pid: i, Tid: pid,
+				Args: []Arg{{"name", fmt.Sprintf("proc %d", pid)}},
+			})
+		}
+		for _, port := range sortedIDs(ports) {
+			all = append(all, TraceEvent{
+				Name: "thread_name", Ph: 'M', Pid: i, Tid: base + port,
+				Args: []Arg{{"name", fmt.Sprintf("port %d", port)}},
 			})
 		}
 		for _, e := range t.events {
 			e.Pid = i
+			if onPortTrack(e) {
+				e.Tid += base
+			}
 			all = append(all, e)
 		}
 	}
 	return WriteTraceJSON(w, all)
+}
+
+// sortedIDs returns the set's members in ascending order.
+func sortedIDs(set map[int]bool) []int {
+	ids := make([]int, 0, len(set))
+	for id := range set {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	return ids
 }

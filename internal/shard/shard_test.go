@@ -234,6 +234,77 @@ func TestShardWorkerInvariance(t *testing.T) {
 	}
 }
 
+// TestTraceTracksAboveP1000 pins the trace's track layout past 1000
+// processors, where processor ids reach the default port track base:
+// in a classic and a sharded p=1024 run, every wait and tx slice must
+// sit on a "proc" track and every svc slice on a "port" track.
+func TestTraceTracksAboveP1000(t *testing.T) {
+	simCfg := sim.Config{Lambda: 0.02, MuN: 1, MuS: 0.1, Seed: 5, Warmup: 10, Samples: 6000}
+	classic := mustParse(t, "1024/1x1024x1024 XBAR/1")
+	net, err := classic.Build(config.BuildOptions{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := obs.NewTrace()
+	simCfg.Probe = tr
+	if _, err := sim.Run(net, simCfg); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := obs.WriteTraces(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	simCfg.Probe = nil
+	_, _, _, sharded := shardOutput(t, Config{Net: mustParse(t, "1024/2x512x512 XBAR/1"), Sim: simCfg, Shards: 2})
+	for _, c := range []struct {
+		name  string
+		trace []byte
+	}{{"classic", buf.Bytes()}, {"sharded", sharded}} {
+		var doc struct {
+			TraceEvents []struct {
+				Name string         `json:"name"`
+				Ph   string         `json:"ph"`
+				Pid  int            `json:"pid"`
+				Tid  int            `json:"tid"`
+				Args map[string]any `json:"args"`
+			} `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(c.trace, &doc); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		track := map[[2]int]string{}
+		for _, e := range doc.TraceEvents {
+			if e.Name == "thread_name" {
+				track[[2]int{e.Pid, e.Tid}], _ = e.Args["name"].(string)
+			}
+		}
+		bad, highProcs := 0, 0
+		for _, e := range doc.TraceEvents {
+			if e.Ph != "X" {
+				continue
+			}
+			want := "proc "
+			if e.Name == "svc" {
+				want = "port "
+			} else if e.Tid >= 1000 {
+				highProcs++
+			}
+			if name := track[[2]int{e.Pid, e.Tid}]; !strings.HasPrefix(name, want) {
+				if bad == 0 {
+					t.Errorf("%s: %s slice on track %d named %q, want a %q track", c.name, e.Name, e.Tid, name, want)
+				}
+				bad++
+			}
+		}
+		if bad > 0 {
+			t.Errorf("%s: %d slices on the wrong kind of track", c.name, bad)
+		}
+		if highProcs == 0 {
+			t.Errorf("%s: no slice of a processor above 999; the run is too short to check the layout", c.name)
+		}
+	}
+}
+
 // TestShardedAgreesWithClassicEstimator pins the relationship between
 // the sharded orchestrator and the classic single-event-loop run of the
 // same partitioned config. They are different estimators (the classic

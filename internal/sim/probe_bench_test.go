@@ -34,9 +34,6 @@ func BenchmarkRunProbe(b *testing.B) {
 	b.Run("off", func(b *testing.B) {
 		run(b, func(int) obs.Probe { return nil })
 	})
-	b.Run("metrics", func(b *testing.B) {
-		run(b, func(int) obs.Probe { return obs.NewRecorder(obs.NewRegistry()) })
-	})
 	b.Run("trace", func(b *testing.B) {
 		run(b, func(int) obs.Probe { return obs.NewTrace() })
 	})

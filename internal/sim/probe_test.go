@@ -21,14 +21,32 @@ func probeCfg(seed uint64) Config {
 	}
 }
 
+// eventCounts tallies lifecycle events by kind, plus the in-network
+// rejects they report: a rerouted grant's Aux and a rejected attempt's.
+type eventCounts struct {
+	kinds   map[obs.Kind]int64
+	rejects int64
+}
+
+// probe returns an obs.Func feeding c from a fresh tally.
+func (c *eventCounts) probe() obs.Probe {
+	c.kinds = map[obs.Kind]int64{}
+	return obs.Func(func(e obs.Event) {
+		c.kinds[e.Kind]++
+		if e.Kind == obs.KindGrant || e.Kind == obs.KindReject {
+			c.rejects += e.Aux
+		}
+	})
+}
+
 func TestProbeDoesNotChangeResults(t *testing.T) {
 	base, err := Run(crossbar.New(8, 4, 2), probeCfg(7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := obs.NewRegistry()
+	var counts eventCounts
 	cfg := probeCfg(7)
-	cfg.Probe = obs.NewRecorder(reg)
+	cfg.Probe = counts.probe()
 	probed, err := Run(crossbar.New(8, 4, 2), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -40,17 +58,15 @@ func TestProbeDoesNotChangeResults(t *testing.T) {
 }
 
 func TestProbeLifecycleIsConsistent(t *testing.T) {
-	reg := obs.NewRegistry()
-	rec := obs.NewRecorder(reg)
+	var counts eventCounts
 	cfg := probeCfg(11)
-	cfg.Probe = rec
+	cfg.Probe = counts.probe()
 	res, err := Run(crossbar.New(8, 4, 2), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	val := func(name string) int64 { return reg.Counter(name).Value() }
-	arrivals, grants := val("sim.arrivals"), val("sim.grants")
-	txDone, released := val("sim.transmit_done"), val("sim.released")
+	arrivals, grants := counts.kinds[obs.KindArrival], counts.kinds[obs.KindGrant]
+	txDone, released := counts.kinds[obs.KindTransmitEnd], counts.kinds[obs.KindRelease]
 	if arrivals == 0 || grants == 0 {
 		t.Fatalf("no lifecycle flow recorded: arrivals=%d grants=%d", arrivals, grants)
 	}
@@ -69,7 +85,7 @@ func TestProbeLifecycleIsConsistent(t *testing.T) {
 }
 
 func TestProbeObservesOmegaRejects(t *testing.T) {
-	reg := obs.NewRegistry()
+	var counts eventCounts
 	cfg := Config{
 		Lambda:  0.9, // drive hard enough to force in-network rejects
 		MuN:     2,
@@ -77,7 +93,7 @@ func TestProbeObservesOmegaRejects(t *testing.T) {
 		Seed:    3,
 		Warmup:  10,
 		Samples: 5000,
-		Probe:   obs.NewRecorder(reg),
+		Probe:   counts.probe(),
 	}
 	res, err := Run(omega.New(16, 1), cfg)
 	if err != nil {
@@ -86,10 +102,9 @@ func TestProbeObservesOmegaRejects(t *testing.T) {
 	if res.Telemetry.Rejects == 0 {
 		t.Skip("workload produced no in-network rejects; nothing to check")
 	}
-	probeRejects := reg.Counter("sim.rejects").Value()
-	if probeRejects != res.Telemetry.Rejects {
+	if counts.rejects != res.Telemetry.Rejects {
 		t.Errorf("probe saw %d rejects, network telemetry counted %d",
-			probeRejects, res.Telemetry.Rejects)
+			counts.rejects, res.Telemetry.Rejects)
 	}
 }
 
