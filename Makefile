@@ -18,8 +18,12 @@ CERT_ROOTS = internal/sim.Run,internal/runner.Map,internal/sim.(*timerTree).arm,
 build:
 	$(GO) build ./...
 
+# The benchmark is its own module under _rsinbench, which ./... skips;
+# it imports internal APIs, so vet and test it too (CI's "Benchmark
+# module" step).
 test:
 	$(GO) test ./...
+	cd _rsinbench && $(GO) vet ./... && $(GO) test ./...
 
 test-race:
 	$(GO) test -race ./...

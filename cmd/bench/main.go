@@ -26,17 +26,20 @@
 // (default 0.05; it must be finite and ≥ 0). Benchmarks added since
 // the baseline was recorded are reported but do not fail the gate;
 // benchmarks that disappeared do, so silent renames cannot dodge it.
-// Usage errors — including a bad -tolerance and a baseline that is
-// unreadable or has no results — exit with status 2 before any
-// benchmark runs; a failed run or gate exits 1.
+// Usage errors — including an undefined flag, a bad -tolerance and a
+// baseline that is unreadable or has no results — print one "bench:
+// ..." line and exit with status 2 before any benchmark runs; a failed
+// run or gate exits 1.
 package main
 
 import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"os/exec"
@@ -68,7 +71,7 @@ func main() {
 		baseline  = flag.String("baseline", "", "compare against this committed baseline and fail on regression")
 		tolerance = flag.Float64("tolerance", 0.05, "allowed slowdown fraction before the gate fails")
 	)
-	flag.Parse()
+	parseFlags()
 	if (*out == "") == (*baseline == "") {
 		usageError("exactly one of -out or -baseline is required")
 	}
@@ -113,6 +116,24 @@ func main() {
 	if err := gate(os.Stdout, base, doc, *tolerance); err != nil {
 		fmt.Fprintln(os.Stderr, "bench:", err)
 		os.Exit(1)
+	}
+}
+
+// parseFlags parses the command line. A bad flag is reported through
+// usageError like every other invalid invocation, on one line, instead
+// of the flag package's message followed by the whole flag list; -h
+// still prints the list.
+func parseFlags() {
+	flag.CommandLine.Init("bench", flag.ContinueOnError)
+	flag.CommandLine.SetOutput(io.Discard)
+	err := flag.CommandLine.Parse(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		flag.CommandLine.SetOutput(os.Stderr)
+		flag.Usage()
+		os.Exit(0)
+	}
+	if err != nil {
+		usageError(err.Error())
 	}
 }
 

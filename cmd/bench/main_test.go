@@ -36,10 +36,10 @@ const oneResult = `{"schema": "rsin-bench/1", "go_bench": "X",
 
 const noResults = `{"schema": "rsin-bench/1", "go_bench": "X", "results": []}`
 
-// TestRejectedInvocations pins each bad gate setting to exit status 2
-// with one "bench: ..." line on stderr, before any benchmark runs: -pkg
-// names a directory that does not exist, so reaching `go test` would
-// fail differently, with status 1.
+// TestRejectedInvocations pins each bad gate setting and an undefined
+// flag to exit status 2 with one "bench: ..." line on stderr, before
+// any benchmark runs: -pkg names a directory that does not exist, so
+// reaching `go test` would fail differently, with status 1.
 func TestRejectedInvocations(t *testing.T) {
 	good := writeBaseline(t, oneResult)
 	empty := writeBaseline(t, noResults)
@@ -52,6 +52,7 @@ func TestRejectedInvocations(t *testing.T) {
 		{"tolerance Inf", []string{"-baseline", good, "-tolerance", "+Inf"}},
 		{"tolerance negative", []string{"-baseline", good, "-tolerance", "-0.05"}},
 		{"empty baseline", []string{"-baseline", empty}},
+		{"undefined flag", []string{"-bogus", "-baseline", good}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cmd := exec.Command(os.Args[0], append(tc.args, "-pkg", missing)...)

@@ -23,11 +23,11 @@
 //
 // Observability: all commentary (progress, timing) goes through one
 // serialized stderr sink, so status lines and timing reports never
-// interleave; figure tables stay alone on stdout. -trace writes a
-// wall-clock Chrome trace of the worker pool's job schedule (one
-// process per artifact, one thread per worker — open in Perfetto),
-// -metrics writes per-artifact runner-telemetry summaries as JSON, and
-// -cpuprofile/-memprofile write pprof profiles.
+// interleave; figure tables stay alone on stdout. The timing line
+// reports each artifact's wall time, workers, jobs and pool occupancy;
+// -trace writes a wall-clock Chrome trace of the worker pool's job
+// schedule (one process per artifact, one thread per worker — open in
+// Perfetto), and -cpuprofile/-memprofile write pprof profiles.
 //
 // Invalid flag values, unsupported flag combinations and unknown -fig
 // names are rejected with a one-line error on stderr and exit status 1,
@@ -37,7 +37,6 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -88,7 +87,6 @@ func run(sink *obs.Sink) error {
 		check    = flag.Bool("check", false, "enable runtime model-invariant checks (see internal/invariant)")
 
 		traceOut   = flag.String("trace", "", "write a wall-clock Chrome trace_event JSON of the worker pool's job schedule to this file (open in Perfetto)")
-		metricsOut = flag.String("metrics", "", "write per-artifact runner telemetry (wall time, worker occupancy, job count) as JSON to this file")
 		attrOut    = flag.String("attr", "", "collect a latency-attribution report for every simulated sweep cell and write them as one rsin-attr-set/1 JSON file (byte-identical for any -workers value)")
 		attrTopK   = flag.Int("attr-topk", 10, "slowest requests kept per run in the -attr reports")
 		seriesOut  = flag.String("series", "", "collect simulated-time series (queue length, busy resources, blocked waiters) for every simulated sweep cell into one rsin-series-set/1 JSON file")
@@ -146,7 +144,7 @@ func run(sink *obs.Sink) error {
 	if *attrOut != "" || *seriesOut != "" {
 		collector = newObsCollector(*attrOut != "", *seriesOut != "", *attrTopK, *seriesDt)
 	}
-	collectTelemetry := *traceOut != "" || *metricsOut != "" || *timing
+	collectTelemetry := *traceOut != "" || *timing
 	render := func(fig experiments.Figure) error {
 		if *format == "csv" {
 			return fig.RenderCSV(os.Stdout)
@@ -272,11 +270,8 @@ func run(sink *obs.Sink) error {
 			return err
 		}
 		if *timing {
-			var s runner.Summary
-			if tel != nil {
-				s = tel.Summary()
-			}
-			if s.Jobs > 0 {
+			// -timing implies collectTelemetry, so tel is set.
+			if s := tel.Summary(); s.Jobs > 0 {
 				sink.Logf("figures: %s regenerated in %s (workers=%d, %d jobs, occupancy %.0f%%)",
 					n, sw.Elapsed().Round(time.Millisecond), effWorkers, s.Jobs, 100*s.Occupancy)
 			} else {
@@ -296,41 +291,6 @@ func run(sink *obs.Sink) error {
 		}
 		if err := writeJSONFile(*traceOut, func(f *os.File) error {
 			return obs.WriteTraceJSON(f, events)
-		}); err != nil {
-			return err
-		}
-	}
-	if *metricsOut != "" {
-		type artifactSummary struct {
-			Figure    string  `json:"figure"`
-			WallMS    float64 `json:"wall_ms"`
-			BusyMS    float64 `json:"busy_ms"`
-			Jobs      int     `json:"jobs"`
-			Workers   int     `json:"workers"`
-			Occupancy float64 `json:"occupancy"`
-		}
-		doc := struct {
-			Schema    string            `json:"schema"`
-			Artifacts []artifactSummary `json:"artifacts"`
-		}{Schema: "rsin-runner-telemetry/v1"}
-		for _, ar := range ran {
-			s := ar.tel.Summary()
-			doc.Artifacts = append(doc.Artifacts, artifactSummary{
-				Figure:    ar.name,
-				WallMS:    float64(s.Wall) / float64(time.Millisecond),
-				BusyMS:    float64(s.Busy) / float64(time.Millisecond),
-				Jobs:      s.Jobs,
-				Workers:   s.Workers,
-				Occupancy: s.Occupancy,
-			})
-		}
-		if err := writeJSONFile(*metricsOut, func(f *os.File) error {
-			data, err := json.MarshalIndent(doc, "", "  ")
-			if err != nil {
-				return err
-			}
-			_, err = f.Write(append(data, '\n'))
-			return err
 		}); err != nil {
 			return err
 		}

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"compress/gzip"
+	"encoding/json"
 	"errors"
 	"io"
 	"os"
@@ -55,6 +56,9 @@ func TestRejectedInvocations(t *testing.T) {
 		{"negative attr-topk", []string{"-fig", "7", "-quick", "-attr", filepath.Join(dir, "a.json"), "-attr-topk", "-1"}},
 		{"unknown figure", []string{"-fig", "bogus"}},
 		{"undefined flag", []string{"-fig", "7", "-queue", "heap"}},
+		// -metrics repeated the timing line's wall time, workers, jobs
+		// and occupancy as JSON; it is retired.
+		{"removed metrics flag", []string{"-fig", "11", "-metrics", filepath.Join(dir, "m.json")}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			stdout, msg, err := runFigures(tc.args...)
@@ -75,10 +79,12 @@ func TestRejectedInvocations(t *testing.T) {
 	}
 }
 
-// TestAcceptedInvocations pins three working forms, one per kind of
-// artifact: a walkthrough, a gate-level table and a simulated figure
-// as CSV. With -timing=false nothing reaches stderr.
+// TestAcceptedInvocations pins four working forms: a walkthrough, a
+// gate-level table, a simulated figure as CSV, and a simulated figure
+// with -trace, whose file must be valid JSON. With -timing=false
+// nothing reaches stderr.
 func TestAcceptedInvocations(t *testing.T) {
+	trace := filepath.Join(t.TempDir(), "t.json")
 	for _, tc := range []struct {
 		args []string
 		want string
@@ -86,6 +92,7 @@ func TestAcceptedInvocations(t *testing.T) {
 		{[]string{"-fig", "11"}, "== fig11: Omega-network walkthrough"},
 		{[]string{"-fig", "table1"}, "== Table I: truth table of cell in shared buses"},
 		{[]string{"-fig", "7", "-quick", "-format", "csv"}, "rho,16/1x16x32 XBAR/1,16/1x16x32 XBAR/1 ±,"},
+		{[]string{"-fig", "7", "-quick", "-workers", "2", "-trace", trace}, "== fig7:"},
 	} {
 		args := append(tc.args, "-timing=false")
 		stdout, stderr, err := runFigures(args...)
@@ -95,6 +102,9 @@ func TestAcceptedInvocations(t *testing.T) {
 		if !strings.HasPrefix(stdout, tc.want) {
 			t.Errorf("figures %v: stdout does not start with %q:\n%s", args, tc.want, stdout)
 		}
+	}
+	if data, err := os.ReadFile(trace); err != nil || !json.Valid(data) {
+		t.Errorf("-trace file: err=%v, valid JSON=%v", err, json.Valid(data))
 	}
 }
 

@@ -19,7 +19,8 @@
 // survived suppression, 2 on operational errors. A flag the chosen
 // mode does not read (-certify-out without -certify; -json,
 // -analyzers or -callgraph-dot with -certify; anything besides
-// -explain with -explain) is an error, exit status 2.
+// -explain with -explain) is an error, exit status 2, as is an
+// undefined flag; each prints one "rsinlint: ..." line.
 //
 // -analyzers restricts the run to a comma-separated subset of the
 // analyzer names (unknown names are an error). -callgraph-dot writes
@@ -61,8 +62,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -80,8 +83,7 @@ func main() {
 	certify := flag.String("certify", "", "comma-separated root functions to certify for determinism (e.g. internal/sim.Run)")
 	certifyOut := flag.String("certify-out", "", "certificate output path, module-relative (default lint/determinism.cert.json; \"-\" for stdout)")
 	flag.Usage = usage
-	flag.Parse()
-	mode, err := chooseMode(flag.CommandLine)
+	mode, err := parseFlags()
 	if err == nil {
 		switch mode {
 		case "explain":
@@ -96,6 +98,25 @@ func main() {
 		fmt.Fprintln(os.Stderr, "rsinlint:", err)
 		os.Exit(2)
 	}
+}
+
+// parseFlags parses the command line and chooses the mode. A bad flag
+// is returned and reported like every other invalid invocation, on one
+// line with exit status 2, instead of the flag package's message
+// followed by the whole usage text; -h still prints the usage.
+func parseFlags() (string, error) {
+	flag.CommandLine.Init("rsinlint", flag.ContinueOnError)
+	flag.CommandLine.SetOutput(io.Discard)
+	err := flag.CommandLine.Parse(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		flag.CommandLine.SetOutput(os.Stderr)
+		flag.Usage()
+		os.Exit(0)
+	}
+	if err != nil {
+		return "", err
+	}
+	return chooseMode(flag.CommandLine)
 }
 
 // modeFlags lists the flags each mode reads. Any other flag would be

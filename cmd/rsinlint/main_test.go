@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"os/exec"
@@ -75,10 +76,21 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
+// runRsinlint re-executes the test binary as the command.
+func runRsinlint(args ...string) (stdout, stderr string, err error) {
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	var out, errOut bytes.Buffer
+	cmd.Stdout = &out
+	cmd.Stderr = &errOut
+	err = cmd.Run()
+	return out.String(), errOut.String(), err
+}
+
 // TestRejectedInvocations pins every invocation whose flags the chosen
-// mode would ignore, and every retired analyzer name, to exit status 2
-// with one "rsinlint: ..." line on stderr. Each is rejected before any
-// package is loaded, so nothing is written.
+// mode would ignore, every retired analyzer name and an undefined flag
+// to exit status 2 with one "rsinlint: ..." line on stderr. Each is
+// rejected before any package is loaded, so nothing is written.
 func TestRejectedInvocations(t *testing.T) {
 	dir := t.TempDir()
 	cert := filepath.Join(dir, "c.json")
@@ -95,19 +107,14 @@ func TestRejectedInvocations(t *testing.T) {
 		{"packages with explain", []string{"-explain", "puredet", "./..."}},
 		{"retired maporder", []string{"-analyzers", "maporder"}},
 		{"retired sharedstate", []string{"-analyzers", "sharedstate"}},
+		{"undefined flag", []string{"-bogus"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cmd := exec.Command(os.Args[0], tc.args...)
-			cmd.Env = append(os.Environ(), runMainEnv+"=1")
-			var stdout, stderr bytes.Buffer
-			cmd.Stdout = &stdout
-			cmd.Stderr = &stderr
-			err := cmd.Run()
+			stdout, msg, err := runRsinlint(tc.args...)
 			var exit *exec.ExitError
 			if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-				t.Fatalf("want exit status 2, got err=%v\nstdout:\n%s", err, stdout.String())
+				t.Fatalf("want exit status 2, got err=%v\nstdout:\n%s", err, stdout)
 			}
-			msg := stderr.String()
 			if !strings.HasPrefix(msg, "rsinlint: ") || strings.Count(msg, "\n") != 1 {
 				t.Errorf("want one \"rsinlint: ...\" line on stderr, got %q", msg)
 			}
@@ -117,5 +124,27 @@ func TestRejectedInvocations(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestAcceptedInvocations pins two working forms that load little: an
+// analyzer's documentation, and a JSON lint run of two analyzers over
+// one clean package (exit 0, empty stderr, no findings).
+func TestAcceptedInvocations(t *testing.T) {
+	stdout, stderr, err := runRsinlint("-explain", "puredet")
+	if err != nil || stderr != "" || !strings.HasPrefix(stdout, "puredet:") {
+		t.Errorf("-explain puredet: err=%v stderr=%q stdout=%q", err, stderr, stdout)
+	}
+
+	stdout, stderr, err = runRsinlint("-json", "-analyzers", "norand,noclock", "./internal/rng")
+	if err != nil || stderr != "" {
+		t.Fatalf("-json lint run: err=%v stderr=%q", err, stderr)
+	}
+	var rep report
+	if !json.Valid([]byte(stdout)) || json.Unmarshal([]byte(stdout), &rep) != nil {
+		t.Fatalf("-json lint run: stdout is not a JSON report:\n%s", stdout)
+	}
+	if len(rep.Findings) != 0 {
+		t.Errorf("-json lint run: findings %+v, want none", rep.Findings)
 	}
 }

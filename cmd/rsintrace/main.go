@@ -19,17 +19,24 @@
 // population-level attribution (queueing delay, transmission, service)
 // from the wait/tx/svc slices plus the reject/reroute blocking
 // breakdown — a Fig. 12-style view of where requests lose time.
+//
+// An invalid invocation (an unknown command, an undefined flag before
+// or after the command, a bad -tol, the wrong number of files, a file
+// that is missing or of the other schema) prints one "rsintrace: ..."
+// line on stderr and exits with status 2; -h prints the usage.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 )
 
 func usage() {
-	fmt.Fprintf(os.Stderr, `usage: rsintrace [flags] <command> <file...>
+	fmt.Fprintf(flag.CommandLine.Output(), `usage: rsintrace [flags] <command> <file...>
 
 commands:
   attr FILE     print per-run latency-attribution tables (rsin-attr-set/1)
@@ -50,7 +57,7 @@ func main() {
 		tol     = flag.Float64("tol", 0.05, "relative phase-mean change tolerated by diff before flagging a regression (non-negative and finite)")
 	)
 	flag.Usage = usage
-	flag.Parse()
+	parseFlags(os.Args[1:])
 	if flag.NArg() < 1 {
 		usage()
 		os.Exit(2)
@@ -58,9 +65,7 @@ func main() {
 	cmd := flag.Arg(0)
 	// Re-parse the remainder so flags may also follow the command
 	// ("rsintrace top -k 5 FILE").
-	if err := flag.CommandLine.Parse(flag.Args()[1:]); err != nil {
-		os.Exit(2)
-	}
+	parseFlags(flag.Args()[1:])
 	files := flag.Args()
 	// A NaN tolerance would pass every phase and a negative one fail
 	// every phase, so either would silently break the regression gate.
@@ -96,9 +101,27 @@ func main() {
 		need(1)
 		err = runTrace(os.Stdout, files[0])
 	default:
-		fmt.Fprintf(os.Stderr, "rsintrace: unknown command %q\n", cmd)
-		usage()
+		fmt.Fprintf(os.Stderr, "rsintrace: unknown command %q (want attr, top, series, diff or trace)\n", cmd)
 		os.Exit(2)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "rsintrace:", err)
+		os.Exit(2)
+	}
+}
+
+// parseFlags parses args into the command line's flags. A bad flag is
+// reported like every other invalid invocation, on one line with exit
+// status 2, instead of the flag package's message followed by the
+// whole usage text; -h still prints the usage.
+func parseFlags(args []string) {
+	flag.CommandLine.Init("rsintrace", flag.ContinueOnError)
+	flag.CommandLine.SetOutput(io.Discard)
+	err := flag.CommandLine.Parse(args)
+	flag.CommandLine.SetOutput(os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		flag.Usage()
+		os.Exit(0)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rsintrace:", err)

@@ -60,6 +60,9 @@ func TestRejectedInvocations(t *testing.T) {
 		{"missing file", []string{"attr", filepath.Join(dir, "missing.json")}},
 		{"series file as attr", []string{"attr", series}},
 		{"attr file as series", []string{"series", attr}},
+		{"unknown command", []string{"bogus", attr}},
+		{"undefined flag", []string{"-bogus", "attr", attr}},
+		{"undefined flag after the command", []string{"attr", "-bogus", attr}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			stdout, msg, err := runRsintrace(tc.args...)

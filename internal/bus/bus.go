@@ -62,30 +62,6 @@ func (b *Bus) Acquire(pid int) (core.Grant, bool) {
 	return core.Grant{Processor: pid, Port: 0}, true
 }
 
-// AcquireWouldFail implements core.AvailabilityHinter: the bus's
-// broadcast status (bus idle, free-resource count) decides every
-// Acquire outcome outright, so the hint is exact. A hopeless probe is
-// accounted in telemetry exactly as Acquire's failure path would have,
-// per the interface contract.
-//
-//lint:hotpath probed by every wake pass
-func (b *Bus) AcquireWouldFail(pid int) bool {
-	if pid < 0 || pid >= b.processors {
-		panic(fmt.Sprintf("bus: processor %d out of range", pid))
-	}
-	if !b.busBusy && b.free > 0 {
-		return false
-	}
-	b.tel.Attempts++
-	b.tel.Failures++
-	if b.free == 0 {
-		b.tel.ResourceBlock++
-	} else {
-		b.tel.PathBlock++
-	}
-	return true
-}
-
 // ReleasePath implements core.Network: transmission finished, the bus
 // becomes free while the resource starts service.
 //
@@ -133,4 +109,3 @@ func (b *Bus) Busy() bool { return b.busBusy }
 
 var _ core.Network = (*Bus)(nil)
 var _ core.TelemetrySource = (*Bus)(nil)
-var _ core.AvailabilityHinter = (*Bus)(nil)

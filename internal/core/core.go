@@ -94,31 +94,18 @@ type TelemetrySource interface {
 	Telemetry() Telemetry
 }
 
-// AvailabilityHinter is an optional Network extension that lets the
-// discrete-event engine's incremental wake path skip hopeless retries
-// cheaply. It models the paper's status broadcast: a processor consults
-// the broadcast availability bits before re-asserting a request, and
-// stays quiet when the status says nothing is reachable.
+// AvailabilityHinter was an optional Network extension through which
+// the simulation engine asked whether an Acquire was certain to fail
+// before making it. No network implements it any more and the engine
+// never asks: every network's Acquire opens with the same O(1) status
+// test (the bus's free count, the crossbar's eligibility bitset,
+// Omega's availability register), so an allocation attempt is one
+// Acquire call.
 //
-// AcquireWouldFail reports whether an Acquire(pid) issued right now is
-// certain to fail without entering the network. The contract is strict,
-// because the engine's results must stay bit-for-bit identical to a
-// full Acquire probe:
-//
-//   - When it returns true, the implementation must have updated its
-//     telemetry exactly as the corresponding failed Acquire would have
-//     (the engine will not call Acquire).
-//   - When it returns false, the engine calls Acquire normally, which
-//     may still fail — e.g. on in-network path blockage the aggregate
-//     status bits cannot see. The call must leave telemetry untouched
-//     in this case.
-//
-// Implementations are expected to answer in O(1) from incrementally
-// maintained state. Omega's Acquire and the crossbar's FirstFree
-// Acquire open with the same O(1) test (an eligibility register, an
-// eligible-port count), so on them the hint saves only the call into
-// Acquire and its failed-grant return. It still saves the crossbar's
-// O(ports) row sweep under LeastLoaded.
+// Deprecated: call Acquire. The benchmark module's network decorators
+// (_rsinbench/decor.go) still name this type; it goes together with
+// their timedHinter and nopHinter when the benchmark's per-layer
+// metrics are reworked.
 type AvailabilityHinter interface {
 	AcquireWouldFail(pid int) bool
 }
@@ -147,8 +134,7 @@ type DetailSource interface {
 // systems exact.
 type Partitioned struct {
 	subs     []Network
-	hinters  []AvailabilityHinter // parallel to subs; nil entry = no hint
-	perSub   int                  // processors per sub-network
+	perSub   int // processors per sub-network
 	ports    int
 	resTotal int
 	name     string
@@ -179,13 +165,8 @@ func NewPartitioned(subs []Network) *Partitioned {
 		ports += s.Ports()
 		res += s.TotalResources()
 	}
-	hinters := make([]AvailabilityHinter, len(subs))
-	for i, s := range subs {
-		hinters[i], _ = s.(AvailabilityHinter)
-	}
 	return &Partitioned{
 		subs:     subs,
-		hinters:  hinters,
 		perSub:   per,
 		ports:    ports,
 		resTotal: res,
@@ -245,22 +226,6 @@ func (p *Partitioned) Acquire(pid int) (Grant, bool) {
 		Path:      pg,
 		Rejects:   g.Rejects,
 	}, true
-}
-
-// AcquireWouldFail implements AvailabilityHinter by consulting pid's
-// own partition, the only one its requests can use. A sub-network
-// without a hint answers false (the engine falls back to Acquire).
-//
-//lint:hotpath probed by every wake pass
-func (p *Partitioned) AcquireWouldFail(pid int) bool {
-	sub := pid / p.perSub
-	if sub < 0 || sub >= len(p.subs) {
-		panic(fmt.Sprintf("core: processor %d outside partitioned system", pid))
-	}
-	if h := p.hinters[sub]; h != nil {
-		return h.AcquireWouldFail(pid % p.perSub)
-	}
-	return false
 }
 
 // ReleasePath implements Network.
@@ -333,4 +298,3 @@ func (p *Partitioned) DetailCounters() []NamedCounter {
 var _ Network = (*Partitioned)(nil)
 var _ TelemetrySource = (*Partitioned)(nil)
 var _ DetailSource = (*Partitioned)(nil)
-var _ AvailabilityHinter = (*Partitioned)(nil)

@@ -193,25 +193,10 @@ const (
 	walkOps
 )
 
-// check requires the register to equal a recount from port state and
-// AcquireWouldFail to answer recount == 0 with the telemetry its
-// contract names.
+// check requires the register to equal a recount from port state.
 func (w *eligWalk) check(step int) {
-	o := w.o
-	want := recountElig(o)
-	if o.elig != want {
-		w.t.Fatalf("step %d: register %#x, recount %#x", step, o.elig, want)
-	}
-	before := o.Telemetry()
-	if got := o.AcquireWouldFail(0); got != (want == 0) {
-		w.t.Fatalf("step %d: AcquireWouldFail = %v with recount %#x", step, got, want)
-	}
-	var booked core.Telemetry
-	if want == 0 {
-		booked = core.Telemetry{Attempts: 1, Failures: 1, ResourceBlock: 1}
-	}
-	if d := telDelta(o.Telemetry(), before); d != booked {
-		w.t.Fatalf("step %d: AcquireWouldFail booked %+v, want %+v", step, d, booked)
+	if want := recountElig(w.o); w.o.elig != want {
+		w.t.Fatalf("step %d: register %#x, recount %#x", step, w.o.elig, want)
 	}
 }
 

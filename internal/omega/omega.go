@@ -365,28 +365,6 @@ func (o *Omega) Acquire(pid int) (core.Grant, bool) {
 	return core.Grant{Processor: pid, Port: port, Path: pg, Rejects: o.tel.Rejects - rejBefore}, true
 }
 
-// AcquireWouldFail implements core.AvailabilityHinter: when every
-// output port's Y signal is down (no free bus with a free resource
-// anywhere), Acquire is certain to fail on its resource-block shortcut,
-// and the hint replicates that shortcut's telemetry exactly. When some
-// port is eligible the hint answers false — the request may still
-// path-block inside the boxes, which only the full routing DFS (with
-// its per-stage reject telemetry) can decide.
-//
-//lint:hotpath probed by every wake pass
-func (o *Omega) AcquireWouldFail(pid int) bool {
-	if pid < 0 || pid >= o.size {
-		panic(fmt.Sprintf("omega: processor %d out of range", pid))
-	}
-	if o.elig != 0 {
-		return false
-	}
-	o.tel.Attempts++
-	o.tel.Failures++
-	o.tel.ResourceBlock++
-	return true
-}
-
 // route performs the availability-guided DFS from the input wire at
 // position pos of stage s. On success it claims the wires it used,
 // appends them to *wires (last stage first), and returns the output
@@ -805,4 +783,3 @@ func (o *Omega) FreeResources(j int) int { return o.free[j] }
 var _ core.Network = (*Omega)(nil)
 var _ core.TelemetrySource = (*Omega)(nil)
 var _ core.DetailSource = (*Omega)(nil)
-var _ core.AvailabilityHinter = (*Omega)(nil)

@@ -22,11 +22,11 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden trace under te
 // highly repetitive text) of a p=256 partitioned omega run. The file
 // pins the full observable event stream — every attempt, reject,
 // grant, and completion with timestamps — of the large-p code path
-// (SoA state, arena, timer tree, partition hint delegation) against
-// accidental drift between commits. It was committed when Run used a
-// calendar queue at this p, and still matches under the heap and the
-// timer tree that followed: any correct pending-event set yields the
-// unique (time, seq) keys in the same order. The kernel
+// (SoA state, arena, timer tree, partitioned Acquire delegation)
+// against accidental drift between commits. It was committed when Run
+// used a calendar queue at this p, and still matches under the heap
+// and the timer tree that followed: any correct pending-event set
+// yields the unique (time, seq) keys in the same order. The kernel
 // differential matrix proves Run and the frozen oracle agree within
 // one build; this file proves today's build agrees with the build that
 // committed it. Comparison is over the uncompressed bytes, so gzip

@@ -50,7 +50,7 @@ func kernelDiffNets(p int) []kernelDiffNet {
 		// Crossbar with one resource per port and half as many ports as
 		// processors: path and resource blocking both active.
 		{"XBAR", func() core.Network { return crossbar.New(p, p/2, 1) }},
-		// Four equal bus partitions: per-partition hint delegation.
+		// Four equal bus partitions: per-partition Acquire delegation.
 		{"PART", func() core.Network {
 			subs := make([]core.Network, 4)
 			for i := range subs {

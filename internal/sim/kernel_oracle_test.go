@@ -15,20 +15,23 @@ import (
 // as runOracle, the reference implementation for the kernel
 // differential matrix in kernel_diff_test.go. With legacy set it also
 // runs the pre-incremental wake engine (full rescans of every processor
-// after each release, no availability hints), the oracle of the wake
+// after each release), the oracle of the wake
 // differential tests in wake_test.go: a fast path is accepted only
 // while a byte-for-byte equivalence proof against the slow path it
 // replaced keeps passing.
 //
 // Do not modify this copy when changing sim.go; it is the oracle, and
 // drifting it would hollow out the proof. It always uses the binary
-// heap. Three edits have been made since it was frozen. Two sit behind
+// heap. Four edits have been made since it was frozen. Two sit behind
 // a parameter that restores the original when false: the legacy wake
 // selector, and the peersOnly filter, with which both wake paths skip
 // every processor outside the released grant's core.Peers range. The
 // third gave the oracle private copies of the event record and the
 // swap-based heap it was frozen with (oracleEvent, oracleHeap), when
-// the kernel moved to a 24-byte event and a hole-sifting heap.
+// the kernel moved to a 24-byte event and a hole-sifting heap. The
+// fourth deleted the non-legacy mode's core.AvailabilityHinter call
+// when the kernel dropped it: every allocation attempt is one Acquire
+// call in both modes, as it always was in legacy mode.
 
 // oracleEvent is the frozen kernel's 40-byte event record.
 type oracleEvent struct {
@@ -148,10 +151,6 @@ func runOracle(net core.Network, cfg Config, legacy, peersOnly bool) (res Result
 	grants := newGrantTable()
 
 	blocked := newWaiterSet(p)
-	var hinter core.AvailabilityHinter
-	if !legacy {
-		hinter, _ = net.(core.AvailabilityHinter)
-	}
 	var wakeScratch []int
 	if cfg.WakePolicy == WakeRandom && !legacy {
 		wakeScratch = make([]int, p)
@@ -245,10 +244,6 @@ func runOracle(net core.Network, cfg Config, legacy, peersOnly bool) (res Result
 	tryStart := func(pid int) bool {
 		ps := &procs[pid]
 		if ps.transmitting || len(ps.queue) == 0 {
-			return false
-		}
-		if hinter != nil && hinter.AcquireWouldFail(pid) {
-			blocked.add(pid)
 			return false
 		}
 		var rejBefore int64

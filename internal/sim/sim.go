@@ -258,7 +258,6 @@ type kernel struct {
 	// processors that are idle with a nonempty queue — the ones whose
 	// last allocation attempt failed and that a release could unblock.
 	blocked     *waiterSet
-	hinter      core.AvailabilityHinter
 	wakeScratch []int // WakeRandom's permutation buffer
 	rrStart     int   // WakeRoundRobin's rotating first processor
 
@@ -316,7 +315,6 @@ func newKernel(net core.Network, cfg Config, rates []float64) kernel {
 		responses: stats.NewBatchMeans(int64(cfg.BatchSize)),
 		probe:     cfg.Probe,
 	}
-	k.hinter, _ = net.(core.AvailabilityHinter)
 	if cfg.WakePolicy == WakeRandom {
 		k.wakeScratch = make([]int, p)
 	}
@@ -501,18 +499,6 @@ func (k *kernel) tryStart(pid int) bool {
 	if k.pt.transmitting[pid] || k.pt.qlen[pid] == 0 {
 		return false
 	}
-	if k.hinter != nil && k.hinter.AcquireWouldFail(pid) {
-		// The network's status broadcast says the attempt is
-		// hopeless; per the core.AvailabilityHinter contract the
-		// hinter has already accounted the probe in telemetry
-		// exactly as the failed Acquire would have, so skipping the
-		// call leaves results bit-for-bit unchanged. Fast-failed
-		// probes never enter the network, so they produce no
-		// in-network rejects — matching the Acquire paths the hint
-		// short-circuits, which reject-count before routing.
-		k.blocked.add(pid)
-		return false
-	}
 	g, ok := k.net.Acquire(pid)
 	if !ok {
 		//lint:coldpath probe emission, nil on the measured fast path
@@ -547,8 +533,7 @@ func (k *kernel) tryStart(pid int) bool {
 //     processor becomes blocked mid-pass and the waiter set only
 //     loses the members the pass itself grants;
 //   - the full rescan repeats passes while any pass made progress, so
-//     wake does too (the AvailabilityHinter keeps a hopeless re-probe
-//     O(1));
+//     wake does too;
 //   - WakeRandom draws a full permutation per pass either way
 //     (PermInto consumes exactly Perm's variates) and filters it by
 //     range and membership, preserving the RNG stream.

@@ -106,9 +106,9 @@ func diffNets() map[string]func() core.Network {
 		// Crossbar with scarce resources: both path and resource blocking.
 		"XBAR": func() core.Network { return crossbar.New(16, 8, 2) },
 		// Multistage network: in-network rejects and path blocking the
-		// availability hint cannot see.
+		// availability register cannot see.
 		"OMEGA": func() core.Network { return omega.New(16, 2) },
-		// Partitioned system: per-partition hint delegation.
+		// Partitioned system: per-partition Acquire delegation.
 		"PART": func() core.Network {
 			return core.NewPartitioned([]core.Network{
 				bus.New(4, 2), bus.New(4, 2), bus.New(4, 2), bus.New(4, 2),
@@ -137,9 +137,9 @@ func diffLambda(name string) float64 {
 // TestWakeEngineDifferential is the equivalence proof for the
 // incremental wake engine: for every network class, wake policy,
 // jitter setting, and seed, a run with the legacy full-rescan engine
-// (runOracle's legacy mode, availability hints disabled) must produce a
-// Result — metrics, telemetry, detail counters, and every raw delay
-// sample — that renders byte-identically to the incremental engine's.
+// (runOracle's legacy mode) must produce a Result — metrics,
+// telemetry, detail counters, and every raw delay sample — that
+// renders byte-identically to the incremental engine's.
 func TestWakeEngineDifferential(t *testing.T) {
 	for name, mk := range diffNets() {
 		for _, pol := range []WakePolicy{WakeIndexOrder, WakeRandom, WakeRoundRobin} {
