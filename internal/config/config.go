@@ -165,10 +165,9 @@ func (c Config) TotalResources() int { return c.Networks * c.Outputs * c.PerPort
 
 // BuildOptions tune the materialized networks.
 type BuildOptions struct {
-	Seed       uint64              // seed for randomized policies
-	LanePolicy omega.LanePolicy    // Omega lane preference
-	PortPolicy crossbar.PortPolicy // crossbar port selection
-	NoReroute  bool                // disable Omega in-network rerouting
+	Seed       uint64           // seed for randomized policies
+	LanePolicy omega.LanePolicy // Omega lane preference
+	NoReroute  bool             // disable Omega in-network rerouting
 }
 
 // Build materializes the configuration as a core.Network.
@@ -181,7 +180,7 @@ func (c Config) Build(opt BuildOptions) (core.Network, error) {
 		case SBUS:
 			return bus.New(c.Inputs, c.PerPort)
 		case XBAR:
-			return crossbar.NewWithPolicy(c.Inputs, c.Outputs, c.PerPort, opt.PortPolicy)
+			return crossbar.New(c.Inputs, c.Outputs, c.PerPort)
 		case OMEGA, CUBE:
 			opts := []omega.Option{
 				omega.WithLanePolicy(opt.LanePolicy),

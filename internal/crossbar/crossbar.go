@@ -21,36 +21,11 @@ import (
 	"rsin/internal/invariant"
 )
 
-// PortPolicy selects which eligible output port a request latches onto.
-type PortPolicy int
-
-const (
-	// FirstFree takes the lowest-index eligible port, matching the
-	// asymmetric wavefront of the paper's cell design.
-	FirstFree PortPolicy = iota
-	// LeastLoaded takes the eligible port with the most free resources,
-	// a smarter controller used as an ablation.
-	LeastLoaded
-)
-
-// String returns the policy name.
-func (p PortPolicy) String() string {
-	switch p {
-	case FirstFree:
-		return "first-free"
-	case LeastLoaded:
-		return "least-loaded"
-	default:
-		return fmt.Sprintf("PortPolicy(%d)", int(p))
-	}
-}
-
 // Crossbar is a p×m crossbar with r resources on each output bus.
 type Crossbar struct {
 	processors int
 	ports      int
 	perPort    int
-	policy     PortPolicy
 
 	busBusy []bool
 	free    []int
@@ -59,12 +34,12 @@ type Crossbar struct {
 	// freeResPorts counts the ports with ≥1 free resource (bus state
 	// ignored): the "resource available" status lines a real resource
 	// controller ORs together rather than rescans. It classifies a
-	// FirstFree reject as path or resource blocking.
+	// reject as path or resource blocking.
 	freeResPorts int
 
 	// eligBits mirrors the eligibility predicate per port (bit j set iff
-	// port j has an idle bus and ≥1 free resource), so the FirstFree
-	// policy's "first eligible column" answer is a find-first-set over
+	// port j has an idle bus and ≥1 free resource), so the wavefront's
+	// "first eligible column" answer is a find-first-set over
 	// m/64 words instead of an O(m) cell walk — the scan that dominates
 	// large-p crossbar profiles. checkAggregates recounts it bit by bit
 	// alongside freeResPorts.
@@ -75,14 +50,8 @@ type Crossbar struct {
 }
 
 // New returns a crossbar connecting processors to ports output buses
-// with perPort resources each, using the FirstFree policy.
+// with perPort resources each.
 func New(processors, ports, perPort int) *Crossbar {
-	return NewWithPolicy(processors, ports, perPort, FirstFree)
-}
-
-// NewWithPolicy returns a crossbar with an explicit port-selection
-// policy.
-func NewWithPolicy(processors, ports, perPort int, policy PortPolicy) *Crossbar {
 	if processors <= 0 || ports <= 0 || perPort <= 0 {
 		panic(fmt.Sprintf("crossbar: invalid shape %dx%d r=%d", processors, ports, perPort))
 	}
@@ -90,7 +59,6 @@ func NewWithPolicy(processors, ports, perPort int, policy PortPolicy) *Crossbar 
 		processors:   processors,
 		ports:        ports,
 		perPort:      perPort,
-		policy:       policy,
 		busBusy:      make([]bool, ports),
 		free:         make([]int, ports),
 		freeResPorts: ports,
@@ -126,8 +94,8 @@ func (x *Crossbar) firstElig() int {
 	return -1
 }
 
-// Acquire implements core.Network: connect pid to an eligible port per
-// the policy, reserving the bus and one resource.
+// Acquire implements core.Network: connect pid to the first eligible
+// port, reserving the bus and one resource.
 //
 //lint:hotpath called once per allocation attempt in the event loop
 func (x *Crossbar) Acquire(pid int) (core.Grant, bool) {
@@ -135,57 +103,31 @@ func (x *Crossbar) Acquire(pid int) (core.Grant, bool) {
 		panic(fmt.Sprintf("crossbar: processor %d out of range", pid))
 	}
 	x.tel.Attempts++
-	best := -1
-	if x.policy == FirstFree {
-		// The wavefront latches the first column whose controller asserts
-		// eligibility: exactly the bitmap's first set bit. The simulated
-		// hardware still examines best+1 cells on a latch and the full
-		// row on a reject, so cellsSwept charges what the scan would
-		// have, and a reject's blockage classification comes from the
-		// freeResPorts aggregate — by definition the same answer as the
-		// scan's any-free-resource test.
-		best = x.firstElig()
-		if best == -1 {
-			x.cellsSwept += int64(x.ports)
-			x.tel.Failures++
-			if x.freeResPorts > 0 {
-				// Free resources exist but sit behind busy buses: the
-				// shared output port is the blockage.
-				x.tel.PathBlock++
-			} else {
-				x.tel.ResourceBlock++
-			}
-			return core.Grant{}, false
-		}
-		x.cellsSwept += int64(best) + 1
-	} else {
-		anyFreeRes := false
-		for j := 0; j < x.ports; j++ {
-			if x.free[j] > 0 {
-				anyFreeRes = true
-			}
-			if x.busBusy[j] || x.free[j] == 0 {
-				continue
-			}
-			if best == -1 || x.free[j] > x.free[best] {
-				best = j
-			}
-		}
-		// LeastLoaded always sweeps the full row.
+	// The wavefront latches the first column whose controller asserts
+	// eligibility: exactly the bitmap's first set bit. The simulated
+	// hardware still examines best+1 cells on a latch and the full row
+	// on a reject, so cellsSwept charges what the scan would have, and
+	// a reject's blockage classification comes from the freeResPorts
+	// aggregate — by definition the same answer as the scan's
+	// any-free-resource test.
+	best := x.firstElig()
+	if best == -1 {
 		x.cellsSwept += int64(x.ports)
-		if best == -1 {
-			x.tel.Failures++
-			if anyFreeRes {
-				x.tel.PathBlock++
-			} else {
-				x.tel.ResourceBlock++
-			}
-			return core.Grant{}, false
+		x.tel.Failures++
+		if x.freeResPorts > 0 {
+			// Free resources exist but sit behind busy buses: the
+			// shared output port is the blockage.
+			x.tel.PathBlock++
+		} else {
+			x.tel.ResourceBlock++
 		}
+		return core.Grant{}, false
 	}
-	invariant.Assert(!x.busBusy[best] && x.free[best] > 0, "crossbar",
-		"policy %v granted ineligible port %d (busy=%v free=%d)",
-		x.policy, best, x.busBusy[best], x.free[best])
+	x.cellsSwept += int64(best) + 1
+	if invariant.Enabled() {
+		invariant.Assert(!x.busBusy[best] && x.free[best] > 0, "crossbar",
+			"granted ineligible port %d (busy=%v free=%d)", best, x.busBusy[best], x.free[best])
+	}
 	x.busBusy[best] = true
 	x.clearElig(best)
 	x.free[best]--
@@ -270,7 +212,7 @@ func (x *Crossbar) Telemetry() core.Telemetry { return x.tel }
 
 // DetailCounters implements core.DetailSource: the wavefront scan effort
 // (cells of the distributed array examined) and the per-port grant
-// distribution, which exposes the FirstFree policy's low-index bias.
+// distribution, which exposes the wavefront's low-index bias.
 func (x *Crossbar) DetailCounters() []core.NamedCounter {
 	out := make([]core.NamedCounter, 0, 1+x.ports)
 	out = append(out, core.NamedCounter{Name: "xbar.cells_swept", Value: x.cellsSwept})

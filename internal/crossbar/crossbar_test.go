@@ -22,16 +22,6 @@ func TestFirstFreeIsAsymmetric(t *testing.T) {
 	}
 }
 
-func TestLeastLoadedPolicy(t *testing.T) {
-	x := NewWithPolicy(4, 2, 3, LeastLoaded)
-	g0, _ := x.Acquire(0)  // both ports have 3 free; ties keep first
-	x.ReleasePath(g0)      // port 0 now has 2 free, bus idle
-	g1, ok := x.Acquire(1) // port 1 has 3 free: least loaded picks it
-	if !ok || g1.Port != 1 {
-		t.Fatalf("least-loaded grant port = %d, want 1", g1.Port)
-	}
-}
-
 func TestNonBlockingProperty(t *testing.T) {
 	// A crossbar is non-blocking: with m ports of 1 resource each, m
 	// simultaneous requests from distinct processors all succeed.
@@ -141,13 +131,4 @@ func TestAccessorsAndPanics(t *testing.T) {
 		}
 	}()
 	x.Acquire(99)
-}
-
-func TestPolicyStrings(t *testing.T) {
-	if FirstFree.String() != "first-free" || LeastLoaded.String() != "least-loaded" {
-		t.Error("policy strings wrong")
-	}
-	if PortPolicy(9).String() == "" {
-		t.Error("unknown policy should still format")
-	}
 }

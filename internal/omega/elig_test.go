@@ -22,62 +22,16 @@ func recountElig(o *Omega) uint64 {
 	return m
 }
 
-// refRoute is what Acquire(pid) must return and add to telemetry.
-type refRoute struct {
-	ok, resourceBlock bool
-	port              int
-	wires             []int // last stage first, as pathGrant stores them
-	rejects, visits   int64
-}
-
-// refAcquire routes a request the way Acquire did before the
-// eligibility register: every box recomputes its output's availability
-// bit by scanning every port's state. It works on copies of the wire
-// occupancy and the lane generator, so the network is left untouched.
-func refAcquire(o *Omega, pid int) refRoute {
-	var r refRoute
-	if recountElig(o) == 0 {
-		r.resourceBlock = true
-		return r
+func addTel(a, b core.Telemetry) core.Telemetry {
+	return core.Telemetry{
+		Attempts:      a.Attempts + b.Attempts,
+		Failures:      a.Failures + b.Failures,
+		ResourceBlock: a.ResourceBlock + b.ResourceBlock,
+		PathBlock:     a.PathBlock + b.PathBlock,
+		Rejects:       a.Rejects + b.Rejects,
+		BoxVisits:     a.BoxVisits + b.BoxVisits,
+		Grants:        a.Grants + b.Grants,
 	}
-	occ := make([][]bool, o.n)
-	for s := range occ {
-		occ[s] = slices.Clone(o.outOcc[s])
-	}
-	lanes := *o.rnd
-	var dfs func(s, pos int) (int, bool)
-	dfs = func(s, pos int) (int, bool) {
-		r.visits++
-		outs := o.BoxOutputs(s, pos)
-		first := 0
-		if o.policy == LaneRandom {
-			first = lanes.Intn(2)
-		}
-		for k := 0; k < 2; k++ {
-			out := outs[first^k]
-			if occ[s][out] || o.reach[s][out]&recountElig(o) == 0 {
-				continue
-			}
-			occ[s][out] = true
-			if s == o.n-1 {
-				r.wires = append(r.wires, out)
-				return out, true
-			}
-			if port, ok := dfs(s+1, o.next(s, out)); ok {
-				r.wires = append(r.wires, out)
-				return port, true
-			}
-			occ[s][out] = false
-			r.rejects++
-			r.visits++
-			if !o.reroute {
-				return 0, false
-			}
-		}
-		return 0, false
-	}
-	r.port, r.ok = dfs(0, o.entry(pid))
-	return r
 }
 
 func telDelta(after, before core.Telemetry) core.Telemetry {
@@ -149,7 +103,8 @@ type eligWalk struct {
 	held         []int        // untyped grants holding a resource, per port
 	transmitting []heldGrant
 	serving      []heldGrant
-	okAcq, noAcq int // Acquire calls checked against refAcquire, by outcome
+	okAcq, noAcq int // Acquire calls checked against the reference, by outcome
+	batchOK      int // batch grants checked against the reference
 }
 
 func newEligWalk(t testing.TB, s walkShape) *eligWalk {
@@ -210,7 +165,14 @@ func (w *eligWalk) step(i, op, x, y int) {
 			return
 		}
 		if pid := x % n; !w.busy[pid] {
-			if g, ok := w.bt.Acquire(pid); ok {
+			// Typed routes count into the typed network's telemetry and
+			// leave the substrate's counters alone.
+			tel, byStage := o.Telemetry(), slices.Clone(o.rejectsByStage)
+			g, ok := w.bt.Acquire(pid)
+			if o.Telemetry() != tel || !slices.Equal(o.rejectsByStage, byStage) {
+				w.t.Fatalf("step %d: typed Acquire(%d) moved the substrate's counters", i, pid)
+			}
+			if ok {
 				w.hold(heldGrant{g: g, typed: true})
 			}
 		}
@@ -231,19 +193,7 @@ func (w *eligWalk) step(i, op, x, y int) {
 				pids = append(pids, pid)
 			}
 		}
-		before := o.Telemetry()
-		grants, oks := o.AcquireBatch(pids)
-		var rejects, granted int64
-		for k, g := range grants {
-			rejects += g.Rejects
-			if oks[k] {
-				granted++
-				w.hold(heldGrant{g: g})
-			}
-		}
-		if d := telDelta(o.Telemetry(), before); d.Rejects != rejects || d.Grants != granted || d.Attempts != int64(len(pids)) {
-			w.t.Fatalf("step %d: batch of %v: grants carry %d rejects and %d grants, telemetry moved %+v", i, pids, rejects, granted, d)
-		}
+		w.batch(i, pids)
 	case opReleasePath:
 		if len(w.transmitting) > 0 {
 			h := take(&w.transmitting, x)
@@ -290,29 +240,23 @@ func (w *eligWalk) step(i, op, x, y int) {
 	}
 }
 
-// acquire runs Acquire(pid) beside refAcquire and requires the same
-// port, wires, rejects and telemetry delta.
+// acquire runs Acquire(pid) beside the reference router and requires
+// the same port, wires, occupancy, rejects and counters.
 func (w *eligWalk) acquire(i, pid int) {
 	if w.busy[pid] {
 		return
 	}
 	o := w.o
-	want := refAcquire(o, pid)
-	exp := core.Telemetry{Attempts: 1, Rejects: want.rejects, BoxVisits: want.visits}
-	switch {
-	case want.ok:
-		exp.Grants = 1
-	case want.resourceBlock:
-		exp.Failures, exp.ResourceBlock = 1, 1
-	default:
-		exp.Failures, exp.PathBlock = 1, 1
-	}
-	before := o.Telemetry()
+	ref := newRefNet(o)
+	want := ref.acquire(pid, nil)
+	before, byStage := o.Telemetry(), slices.Clone(o.rejectsByStage)
 	g, ok := o.Acquire(pid)
-	if d := telDelta(o.Telemetry(), before); ok != want.ok || d != exp || g.Rejects != want.rejects {
+	if d := telDelta(o.Telemetry(), before); ok != want.ok || d != want.tel() || g.Rejects != want.rejects {
 		w.t.Fatalf("step %d: Acquire(%d) ok=%v rejects=%d telemetry %+v; reference ok=%v rejects=%d telemetry %+v",
-			i, pid, ok, g.Rejects, d, want.ok, want.rejects, exp)
+			i, pid, ok, g.Rejects, d, want.ok, want.rejects, want.tel())
 	}
+	w.sameStageRejects(i, byStage, want.byStage)
+	ref.sameOccupancy(w.t, i)
 	if !ok {
 		if g != (core.Grant{Rejects: g.Rejects}) {
 			w.t.Fatalf("step %d: failed Acquire(%d) returned %+v", i, pid, g)
@@ -321,11 +265,58 @@ func (w *eligWalk) acquire(i, pid int) {
 		return
 	}
 	w.okAcq++
-	if wires := g.Path.(*pathGrant).wires; g.Port != want.port || !slices.Equal(wires, want.wires) {
-		w.t.Fatalf("step %d: Acquire(%d) took port %d over %v; reference port %d over %v",
-			i, pid, g.Port, wires, want.port, want.wires)
+	if wires := circuitWires(o, g.Port); g.Port != want.port || g.Path != nil || !slices.Equal(wires, want.wires) {
+		w.t.Fatalf("step %d: Acquire(%d) took port %d over %v (path %v); reference port %d over %v",
+			i, pid, g.Port, wires, g.Path, want.port, want.wires)
 	}
 	w.hold(heldGrant{g: g})
+}
+
+// batch runs AcquireBatch(pids) beside the reference router reading a
+// [stage][wire] snapshot of the availability bits, and requires the
+// same grants, wires, occupancy, rejects and counters.
+func (w *eligWalk) batch(i int, pids []int) {
+	o := w.o
+	ref := newRefNet(o)
+	snap := ref.snapshot()
+	want := make([]refRoute, len(pids))
+	var wantTel core.Telemetry
+	wantByStage := make([]int64, o.n)
+	for k, pid := range pids {
+		want[k] = ref.acquire(pid, snap)
+		wantTel = addTel(wantTel, want[k].tel())
+		for s, r := range want[k].byStage {
+			wantByStage[s] += r
+		}
+	}
+	before, byStage := o.Telemetry(), slices.Clone(o.rejectsByStage)
+	grants, oks := o.AcquireBatch(pids)
+	for k, g := range grants {
+		wk := want[k]
+		if oks[k] != wk.ok || g.Rejects != wk.rejects || oks[k] && (g.Port != wk.port || !slices.Equal(circuitWires(o, g.Port), wk.wires)) {
+			w.t.Fatalf("step %d: batch of %v: request %d ok=%v port %d rejects %d; reference ok=%v port %d rejects %d",
+				i, pids, k, oks[k], g.Port, g.Rejects, wk.ok, wk.port, wk.rejects)
+		}
+		if oks[k] {
+			w.batchOK++
+			w.hold(heldGrant{g: g})
+		}
+	}
+	if d := telDelta(o.Telemetry(), before); d != wantTel {
+		w.t.Fatalf("step %d: batch of %v: telemetry moved %+v, reference %+v", i, pids, d, wantTel)
+	}
+	w.sameStageRejects(i, byStage, wantByStage)
+	ref.sameOccupancy(w.t, i)
+}
+
+// sameStageRejects requires rejectsByStage to have grown by want since
+// before.
+func (w *eligWalk) sameStageRejects(i int, before, want []int64) {
+	for s, r := range w.o.rejectsByStage {
+		if r-before[s] != want[s] {
+			w.t.Fatalf("step %d: stage %d rejects grew by %d, reference %d", i, s, r-before[s], want[s])
+		}
+	}
 }
 
 func (w *eligWalk) hold(h heldGrant) {
@@ -376,8 +367,10 @@ func walkOp(src *rng.Source) int {
 
 // TestEligRegisterRandomWalk churns each walk shape through a random
 // operation mix, checking before every operation that the eligibility
-// register equals a recount from port state and that every Acquire
-// routes exactly as the per-box port scan did.
+// register equals a recount from port state, that every Acquire routes
+// exactly as the per-box port scan did, and that every AcquireBatch
+// routes exactly as against a [stage][wire] snapshot of the
+// availability bits.
 func TestEligRegisterRandomWalk(t *testing.T) {
 	for k, s := range walkShapes() {
 		t.Run(s.String(), func(t *testing.T) {
@@ -386,8 +379,8 @@ func TestEligRegisterRandomWalk(t *testing.T) {
 			for i := 0; i < 4000; i++ {
 				w.step(i, walkOp(src), src.Intn(256), src.Intn(256))
 			}
-			if w.okAcq == 0 || w.noAcq == 0 {
-				t.Errorf("checked %d granted and %d failed Acquires: both outcomes must be exercised", w.okAcq, w.noAcq)
+			if w.okAcq == 0 || w.noAcq == 0 || w.batchOK == 0 {
+				t.Errorf("checked %d granted and %d failed Acquires and %d batch grants: each must be exercised", w.okAcq, w.noAcq, w.batchOK)
 			}
 		})
 	}

@@ -104,6 +104,10 @@ type Omega struct {
 	wiring  Wiring
 	rnd     *rng.Source // used only by LaneRandom
 	reroute bool        // backtracking reroute enabled (ablation: off = reject to source)
+	// rot is the wiring ahead of every stage as a left rotation of the
+	// n-bit wire index: 1 (the perfect shuffle) for OmegaWiring, 0
+	// (straight through) for CubeWiring.
+	rot int
 
 	portBusy []bool
 	free     []int
@@ -112,30 +116,38 @@ type Omega struct {
 	// and release of a bus or resource updates it, so a box output's
 	// availability bit is one AND with its reach mask, and Acquire's
 	// resource-block shortcut is elig == 0.
-	elig   uint64
-	outOcc [][]bool // [stage][wire] output-wire occupancy
-	// reach[s][w] is the bitmask of output ports statically reachable
-	// from the wire leaving stage s at position w.
-	reach [][]uint64
-	// snap, when non-nil, freezes the availability bits: routing
-	// decisions consult the snapshot instead of live state. Set during
-	// AcquireBatch to model the paper's two-phase operation, where
-	// phase-2 requests propagate against possibly outdated phase-1
-	// status.
-	snap [][]bool
-
-	// pathPool recycles grant path records (the Partitioned dispatcher's
-	// pool pattern): Acquire pops one, the final ReleaseResource pushes
-	// it back, so steady-state grants allocate nothing. Stored as
-	// pointers so placing one in core.Grant.Path boxes a pointer — free
-	// — instead of copying a slice header into the interface.
-	pathPool []*pathGrant
+	elig uint64
+	// occ holds the box outputs' occupancy bits, one register per stage:
+	// bit w of occ[s] is set while the wire leaving stage s at position
+	// w carries a circuit.
+	occ    [maxStages]uint64
+	stages [maxStages]stage // each stage's wiring in closed form
+	// circuit[j] is the circuit output port j carries from its grant to
+	// ReleasePath, as packed wire indices: the wire leaving stage s sits
+	// in bits [6s, 6s+6). A port carries at most one circuit, so a grant
+	// needs no path record.
+	circuit []uint64
 
 	tel core.Telemetry
 	// Fine-grained telemetry (core.DetailSource): where in the pipeline
 	// rejects happen and how grants spread over the output ports.
 	rejectsByStage []int64
 	portGrants     []int64
+}
+
+// stage is one stage of interchange boxes in closed form. A box's two
+// output wires differ in bit pair, and the wire w leaving the stage
+// statically reaches the output ports pat << ((w & low) << sh):
+//
+//   - OmegaWiring: a perfect shuffle precedes each later stage, so the
+//     wire w leaving stage s reaches the block of 2^(n−1−s) ports
+//     starting at (w mod 2^(s+1))·2^(n−1−s);
+//   - CubeWiring: stages s+1, …, n−1 flip bits s+1, …, n−1, so the wire
+//     reaches every 2^(s+1)-th port starting at w mod 2^(s+1).
+type stage struct {
+	pair, low int
+	sh        uint
+	pat       uint64
 }
 
 // Option configures a network.
@@ -155,9 +167,14 @@ func WithoutReroute() Option { return func(o *Omega) { o.reroute = false } }
 // WithWiring selects the interconnection pattern (default OmegaWiring).
 func WithWiring(w Wiring) Option { return func(o *Omega) { o.wiring = w } }
 
+// maxStages is the stage count of the widest network, 64×64: the reach
+// and occupancy registers are 64-bit words, and a circuit packs its six
+// 6-bit wire indices into one.
+const maxStages = 6
+
 // New returns an N×N multistage RSIN with perPort resources per output
-// port. N must be a power of two with 2 ≤ N ≤ 64 (the reach sets are
-// 64-bit masks; the paper's systems are at most 16×16).
+// port. N must be a power of two with 2 ≤ N ≤ 64 (the registers are
+// 64-bit words; the paper's systems are at most 16×16).
 func New(n, perPort int, opts ...Option) *Omega {
 	if n < 2 || n > 64 || n&(n-1) != 0 {
 		panic(fmt.Sprintf("omega: size %d is not a power of two in [2,64]", n))
@@ -177,7 +194,7 @@ func New(n, perPort int, opts ...Option) *Omega {
 		portBusy: make([]bool, n),
 		free:     make([]int, n),
 		elig:     allPorts(n),
-		outOcc:   make([][]bool, stages),
+		circuit:  make([]uint64, n),
 
 		rejectsByStage: make([]int64, stages),
 		portGrants:     make([]int64, n),
@@ -185,14 +202,30 @@ func New(n, perPort int, opts ...Option) *Omega {
 	for i := range o.free {
 		o.free[i] = perPort
 	}
-	for s := range o.outOcc {
-		o.outOcc[s] = make([]bool, n)
-	}
 	for _, opt := range opts {
 		//lint:ignore puredet functional options from the construction site; applied once while the network is built, before any simulation event runs
 		opt(o)
 	}
-	o.buildReach()
+	if o.wiring == OmegaWiring {
+		o.rot = 1
+	}
+	for s := 0; s < stages; s++ {
+		span := 1 << (s + 1) // the reach of the wire w depends on w mod span
+		st := stage{low: span - 1}
+		switch o.wiring {
+		case OmegaWiring:
+			st.pair, st.sh = 1, uint(stages-1-s)
+			st.pat = 1<<(1<<st.sh) - 1
+		case CubeWiring:
+			st.pair = 1 << s
+			for j := 0; j < n; j += span {
+				st.pat |= 1 << uint(j)
+			}
+		default:
+			panic("omega: unknown wiring")
+		}
+		o.stages[s] = st
+	}
 	return o
 }
 
@@ -205,25 +238,14 @@ func NewCube(n, perPort int, opts ...Option) *Omega {
 	return New(n, perPort, append([]Option{WithWiring(CubeWiring)}, opts...)...)
 }
 
-// shuffle is the perfect shuffle: rotate the n-bit wire index left by 1.
+// shuffle maps processor pid to its stage-0 input wire, and an output
+// wire of stage s to the input position of stage s+1: the perfect
+// shuffle (rotate the n-bit index left by 1) for OmegaWiring, the
+// identity (rotate by 0) for CubeWiring.
 //
 //lint:hotpath
 func (o *Omega) shuffle(pos int) int {
-	return (pos<<1 | pos>>(o.n-1)) & (o.size - 1)
-}
-
-// entry returns the stage-0 input wire position of processor pid.
-//
-//lint:hotpath
-func (o *Omega) entry(pid int) int {
-	switch o.wiring {
-	case OmegaWiring:
-		return o.shuffle(pid)
-	case CubeWiring:
-		return pid
-	default:
-		panic("omega: unknown wiring")
-	}
+	return (pos<<o.rot | pos>>(o.n-o.rot)) & (o.size - 1)
 }
 
 // pair returns the other wire of the box that owns input/output wire
@@ -232,49 +254,23 @@ func (o *Omega) entry(pid int) int {
 // swaps to the partner.
 //
 //lint:hotpath
-func (o *Omega) pair(s, pos int) int {
-	switch o.wiring {
-	case OmegaWiring:
-		return pos ^ 1
-	case CubeWiring:
-		return pos ^ (1 << s)
-	default:
-		panic("omega: unknown wiring")
-	}
-}
+func (o *Omega) pair(s, pos int) int { return pos ^ o.stages[s].pair }
 
-// next maps an output wire of stage s to the input position of stage
-// s+1.
+// reaches reports whether the wire leaving stage s at position w
+// statically reaches a port of mask. With mask the eligibility register
+// this is the wire's availability bit: the backward-propagated status
+// register content of the paper's Fig. 9/10 boxes.
 //
 //lint:hotpath
-func (o *Omega) next(s, pos int) int {
-	switch o.wiring {
-	case OmegaWiring:
-		return o.shuffle(pos)
-	case CubeWiring:
-		return pos
-	default:
-		panic("omega: unknown wiring")
-	}
+func (o *Omega) reaches(s, w int, mask uint64) bool {
+	st := &o.stages[s]
+	return st.pat<<(uint(w&st.low)<<st.sh)&mask != 0
 }
 
-// buildReach precomputes, for every stage-output wire, the bitmask of
-// network output ports statically reachable downstream.
-func (o *Omega) buildReach() {
-	o.reach = make([][]uint64, o.n)
-	// Last stage: wire w IS output port w.
-	o.reach[o.n-1] = make([]uint64, o.size)
-	for w := 0; w < o.size; w++ {
-		o.reach[o.n-1][w] = 1 << uint(w)
-	}
-	for s := o.n - 2; s >= 0; s-- {
-		o.reach[s] = make([]uint64, o.size)
-		for w := 0; w < o.size; w++ {
-			in := o.next(s, w)
-			o.reach[s][w] = o.reach[s+1][in] | o.reach[s+1][o.pair(s+1, in)]
-		}
-	}
-}
+// wireAt returns the wire leaving stage s in packed circuit c.
+//
+//lint:hotpath
+func wireAt(c uint64, s int) int { return int(c >> (6 * uint(s)) & 63) }
 
 // portEligible reports whether output port j can accept a new request:
 // bus free and at least one free resource (the paper's Y signal).
@@ -284,49 +280,6 @@ func (o *Omega) portEligible(j int) bool {
 	return !o.portBusy[j] && o.free[j] > 0
 }
 
-// avail is the availability bit of the wire leaving stage s at position
-// w: whether any reachable output port is eligible. This is the
-// backward-propagated status register content of the paper's Fig. 9/10
-// boxes — live under instantaneous propagation (assumption (c)), or the
-// frozen phase-1 value during AcquireBatch.
-//
-//lint:hotpath
-func (o *Omega) avail(s, w int) bool {
-	if o.snap != nil {
-		return o.snap[s][w]
-	}
-	return o.reach[s][w]&o.elig != 0
-}
-
-// pathGrant records the claimed wires, innermost (last stage) first.
-type pathGrant struct {
-	wires []int
-}
-
-// takePath pops a recycled path record, or mints one on a cold pool.
-// The wire slice comes back emptied with its capacity intact, so the
-// mint happens at most once per concurrently outstanding grant.
-//
-//lint:hotpath
-func (o *Omega) takePath() *pathGrant {
-	if n := len(o.pathPool); n > 0 {
-		pg := o.pathPool[n-1]
-		o.pathPool = o.pathPool[:n-1]
-		pg.wires = pg.wires[:0]
-		return pg
-	}
-	//lint:ignore hotalloc cold-pool mint, amortized to zero once the pool warms; pinned by TestOmegaAcquireZeroAlloc
-	return &pathGrant{wires: make([]int, 0, o.n)}
-}
-
-// putPath returns a path record to the pool.
-//
-//lint:hotpath
-func (o *Omega) putPath(pg *pathGrant) {
-	//lint:ignore hotalloc pool append reuses capacity after warm-up; pinned by TestOmegaAcquireZeroAlloc
-	o.pathPool = append(o.pathPool, pg)
-}
-
 // Acquire implements core.Network: route a destination-less request
 // from processor pid to any eligible output port, using
 // availability-guided switching with reject/backtrack. The grant's
@@ -334,93 +287,134 @@ func (o *Omega) putPath(pg *pathGrant) {
 //
 //lint:hotpath called once per allocation attempt in the event loop
 func (o *Omega) Acquire(pid int) (core.Grant, bool) {
+	return o.acquire(pid, o.elig)
+}
+
+// acquire is Acquire with the boxes' availability bits computed from
+// avail: the live eligibility register, or AcquireBatch's phase-1 copy
+// of it. The copy differs from the live register only in the ports
+// granted since phase 1, and those grants hold the ports' last-stage
+// wires, so at the last stage the copy answers as the live register
+// would.
+//
+//lint:hotpath called once per allocation attempt in the event loop
+func (o *Omega) acquire(pid int, avail uint64) (core.Grant, bool) {
 	if pid < 0 || pid >= o.size {
 		panic(fmt.Sprintf("omega: processor %d out of range", pid))
 	}
 	o.tel.Attempts++
-	if o.elig == 0 {
+	if avail == 0 {
 		// Phase-1 status already tells the processor to stay queued.
 		o.tel.Failures++
 		o.tel.ResourceBlock++
 		return core.Grant{}, false
 	}
 	rejBefore := o.tel.Rejects
-	pg := o.takePath()
-	port, ok := o.route(0, o.entry(pid), &pg.wires)
+	port, ok := o.route(pid, avail, &o.tel, o.rejectsByStage)
 	if !ok {
-		o.putPath(pg)
 		o.tel.Failures++
 		o.tel.PathBlock++
 		o.verify()
 		return core.Grant{Rejects: o.tel.Rejects - rejBefore}, false
 	}
-	invariant.Assert(!o.portBusy[port] && o.free[port] > 0, "omega",
-		"routed to ineligible port %d (busy=%v free=%d)", port, o.portBusy[port], o.free[port])
-	o.portBusy[port] = true
-	o.elig &^= 1 << uint(port)
-	o.free[port]--
-	o.tel.Grants++
-	o.portGrants[port]++
-	o.verify()
-	return core.Grant{Processor: pid, Port: port, Path: pg, Rejects: o.tel.Rejects - rejBefore}, true
+	if invariant.Enabled() {
+		// The paper's status-bit consistency guarantee: a forward-routed
+		// request never lands on a port whose availability bit was
+		// false — eligibility only decreases while AcquireBatch holds
+		// its copy, so a port that is live-eligible at grant time had
+		// its bit set in phase 1.
+		invariant.Assert(avail&(1<<uint(port)) != 0, "omega",
+			"request granted port %d whose phase-1 availability bit was false", port)
+		invariant.Assert(o.portEligible(port), "omega",
+			"routed to ineligible port %d (busy=%v free=%d)", port, o.portBusy[port], o.free[port])
+	}
+	o.claim(port)
+	return core.Grant{Processor: pid, Port: port, Rejects: o.tel.Rejects - rejBefore}, true
 }
 
-// route performs the availability-guided DFS from the input wire at
-// position pos of stage s. On success it claims the wires it used,
-// appends them to *wires (last stage first), and returns the output
-// port.
+// claim takes the bus and one resource of port j for a routed circuit.
 //
-//lint:hotpath the routing DFS runs inside every Acquire
-func (o *Omega) route(s, pos int, wires *[]int) (int, bool) {
-	o.tel.BoxVisits++
-	outs := [2]int{pos, o.pair(s, pos)}
-	if outs[0] > outs[1] {
-		outs[0], outs[1] = outs[1], outs[0]
-	}
-	first := 0
-	if o.policy == LaneRandom {
-		first = o.rnd.Intn(2)
-	}
-	for k := 0; k < 2; k++ {
-		out := outs[first^k]
-		if o.outOcc[s][out] {
-			continue
+//lint:hotpath
+func (o *Omega) claim(j int) {
+	o.portBusy[j] = true
+	o.elig &^= 1 << uint(j)
+	o.free[j]--
+	o.tel.Grants++
+	o.portGrants[j]++
+	o.verify()
+}
+
+// route performs the availability-guided search for a request from
+// processor pid. At each box the request is switched toward an output
+// lane whose wire is free and whose availability bit is set — the wire
+// reaches a port of avail (at the last stage, the wire is that port).
+// When no lane qualifies, a reject travels back, and the previous
+// stage's box frees its wire and re-examines the request for its
+// alternate lane (or, without reroute, propagates the reject). The
+// search keeps each stage's frame in two registers: the wire the stage
+// holds, packed as in circuit, and whether that wire was the box's
+// second choice. Box visits and rejects
+// count into tel, and rejects by stage into byStage when it is non-nil.
+// On success route holds the circuit's wires, records the circuit at
+// its port and returns the port.
+//
+//lint:hotpath the routing search runs inside every Acquire
+func (o *Omega) route(pid int, avail uint64, tel *core.Telemetry, byStage []int64) (int, bool) {
+	var c uint64 // the wire each stage holds, packed as in circuit
+	var alt uint // bit s: stage s holds its second-choice wire
+	last := o.n - 1
+	s, pos := 0, o.shuffle(pid)
+	for {
+		// The request enters the stage-s box on input wire pos; its
+		// lanes are first and first^pair, tried in that order (k).
+		tel.BoxVisits++
+		st := &o.stages[s]
+		first, k := pos&^st.pair, 0
+		if o.policy == LaneRandom && o.rnd.Intn(2) == 1 {
+			first |= st.pair
 		}
-		if s == o.n-1 {
-			// out is an output port.
-			if !o.portEligible(out) {
-				continue
+		for {
+			for ; k < 2; k++ {
+				if w := first ^ k*st.pair; o.occ[s]&(1<<uint(w)) == 0 && o.reaches(s, w, avail) {
+					break
+				}
 			}
-			o.outOcc[s][out] = true
-			//lint:ignore hotalloc append into the pooled record's retained capacity; pinned by TestOmegaAcquireZeroAlloc
-			*wires = append(*wires, out)
+			if k < 2 {
+				break
+			}
+			// Dead end: the box rejects the request back to the previous
+			// stage. Re-examining it there is a real traversal of that
+			// box's control logic, so it counts as a box visit — giving
+			// the paper's 3.5-boxes-per-request average in the Fig. 11
+			// example.
+			if s == 0 {
+				return 0, false
+			}
+			s--
+			st = &o.stages[s]
+			held := wireAt(c, s)
+			o.occ[s] &^= 1 << uint(held)
+			tel.Rejects++
+			tel.BoxVisits++
+			if byStage != nil {
+				byStage[s]++
+			}
+			// Resume the box's lane loop after the lane it held.
+			first, k = held, 1
+			if alt&(1<<uint(s)) != 0 || !o.reroute {
+				k = 2
+			}
+		}
+		out := first ^ k*st.pair
+		o.occ[s] |= 1 << uint(out)
+		c = c&^(63<<(6*uint(s))) | uint64(out)<<(6*uint(s))
+		alt = alt&^(1<<uint(s)) | uint(k)<<uint(s)
+		if s == last {
+			o.circuit[out] = c
 			return out, true
 		}
-		if !o.avail(s, out) {
-			continue
-		}
-		o.outOcc[s][out] = true
-		port, ok := o.route(s+1, o.next(s, out), wires)
-		if ok {
-			//lint:ignore hotalloc append into the pooled record's retained capacity; pinned by TestOmegaAcquireZeroAlloc
-			*wires = append(*wires, out)
-			return port, true
-		}
-		// Downstream dead end: a reject signal travels back and this
-		// box re-examines the request for its alternate lane (or
-		// propagates the reject). The re-examination is a real
-		// traversal of this box's control logic, so it counts as a
-		// box visit — giving the paper's 3.5-boxes-per-request average
-		// in the Fig. 11 example.
-		o.outOcc[s][out] = false
-		o.tel.Rejects++
-		o.tel.BoxVisits++
-		o.rejectsByStage[s]++
-		if !o.reroute {
-			return 0, false
-		}
+		s, pos = s+1, o.shuffle(out)
 	}
-	return 0, false
 }
 
 // AcquireBatch routes a set of simultaneous requests with the paper's
@@ -434,70 +428,15 @@ func (o *Omega) route(s, pos int, wires *[]int) (int, bool) {
 // The returned slices are parallel to pids; ok[i] reports whether
 // request i was granted.
 func (o *Omega) AcquireBatch(pids []int) ([]core.Grant, []bool) {
-	// Phase 1: snapshot the availability registers.
-	snap := make([][]bool, o.n)
-	for s := range snap {
-		snap[s] = make([]bool, o.size)
-		for w := 0; w < o.size; w++ {
-			snap[s][w] = o.avail(s, w)
-		}
-	}
-	o.snap = snap
-	defer func() { o.snap = nil }()
-
+	// Phase 1: every box's availability bit is its reach mask ANDed with
+	// the eligibility register, so freezing the register freezes them all.
+	frozen := o.elig
 	grants := make([]core.Grant, len(pids))
 	oks := make([]bool, len(pids))
 	for i, pid := range pids {
-		grants[i], oks[i] = o.acquireStale(pid)
+		grants[i], oks[i] = o.acquire(pid, frozen)
 	}
 	return grants, oks
-}
-
-// acquireStale is Acquire with the availability shortcut evaluated from
-// the frozen snapshot (the processor submitted because phase-1 status
-// said resources exist).
-//
-//lint:hotpath per-request half of the two-phase batch
-func (o *Omega) acquireStale(pid int) (core.Grant, bool) {
-	o.tel.Attempts++
-	anyAvail := false
-	for w := 0; w < o.size; w++ {
-		if o.snap[o.n-1][w] {
-			anyAvail = true
-			break
-		}
-	}
-	if !anyAvail {
-		o.tel.Failures++
-		o.tel.ResourceBlock++
-		return core.Grant{}, false
-	}
-	rejBefore := o.tel.Rejects
-	pg := o.takePath()
-	port, ok := o.route(0, o.entry(pid), &pg.wires)
-	if !ok {
-		o.putPath(pg)
-		o.tel.Failures++
-		o.tel.PathBlock++
-		o.verify()
-		return core.Grant{Rejects: o.tel.Rejects - rejBefore}, false
-	}
-	// The paper's status-bit consistency guarantee: a forward-routed
-	// request never lands on a port whose frozen availability bit was
-	// false — eligibility only decreases while the snapshot is held, so
-	// a port that is live-eligible at grant time must have had its bit
-	// set in phase 1.
-	invariant.Assert(o.snap[o.n-1][port], "omega",
-		"request granted port %d whose phase-1 availability bit was false", port)
-	invariant.Assert(!o.portBusy[port] && o.free[port] > 0, "omega",
-		"routed to ineligible port %d (busy=%v free=%d)", port, o.portBusy[port], o.free[port])
-	o.portBusy[port] = true
-	o.elig &^= 1 << uint(port)
-	o.free[port]--
-	o.tel.Grants++
-	o.portGrants[port]++
-	o.verify()
-	return core.Grant{Processor: pid, Port: port, Path: pg, Rejects: o.tel.Rejects - rejBefore}, true
 }
 
 // AcquireTag routes a request from pid to the specific output port dst
@@ -519,49 +458,37 @@ func (o *Omega) AcquireTag(pid, dst int) (core.Grant, bool) {
 		o.tel.ResourceBlock++
 		return core.Grant{}, false
 	}
-	pg := o.takePath()
-	pos := o.entry(pid)
+	pos := o.shuffle(pid)
 	dstBit := uint64(1) << uint(dst)
+	var c uint64
 	for s := 0; s < o.n; s++ {
 		o.tel.BoxVisits++
 		out := pos
-		if o.reach[s][out]&dstBit == 0 {
+		if !o.reaches(s, out, dstBit) {
 			out = o.pair(s, pos)
 		}
-		if o.reach[s][out]&dstBit == 0 {
+		if !o.reaches(s, out, dstBit) {
 			panic("omega: destination unreachable (wiring bug)")
 		}
-		if o.outOcc[s][out] {
+		if o.occ[s]&(1<<uint(out)) != 0 {
 			// Tag routing cannot reroute: the request is blocked.
-			for i, w := range pg.wires {
-				o.outOcc[i][w] = false
+			for i := 0; i < s; i++ {
+				o.occ[i] &^= 1 << uint(wireAt(c, i))
 			}
-			o.putPath(pg)
 			o.tel.Failures++
 			o.tel.PathBlock++
 			return core.Grant{}, false
 		}
-		o.outOcc[s][out] = true
-		//lint:ignore hotalloc append into the pooled record's retained capacity; pinned by TestOmegaAcquireZeroAlloc
-		pg.wires = append(pg.wires, out)
-		pos = o.next(s, out)
+		o.occ[s] |= 1 << uint(out)
+		c |= uint64(out) << (6 * uint(s))
+		pos = o.shuffle(out)
 	}
-	port := pg.wires[o.n-1]
-	if port != dst {
+	if port := wireAt(c, o.n-1); port != dst {
 		panic("omega: tag routing reached wrong port")
 	}
-	o.portBusy[port] = true
-	o.elig &^= 1 << uint(port)
-	o.free[port]--
-	o.tel.Grants++
-	o.portGrants[port]++
-	o.verify()
-	// The tag loop collected the wires outermost-first; ReleasePath
-	// expects innermost-first, so reverse in place.
-	for i, j := 0, len(pg.wires)-1; i < j; i, j = i+1, j-1 {
-		pg.wires[i], pg.wires[j] = pg.wires[j], pg.wires[i]
-	}
-	return core.Grant{Processor: pid, Port: port, Path: pg}, true
+	o.circuit[dst] = c
+	o.claim(dst)
+	return core.Grant{Processor: pid, Port: dst}, true
 }
 
 // verify panics with a *invariant.Violation when the runtime checks
@@ -576,35 +503,34 @@ func (o *Omega) verify() {
 }
 
 // VerifyState checks the structural consistency of the network's
-// dynamic state: every stage carries the same number of circuits (a
-// routed circuit claims exactly one output wire per stage), the
-// last-stage wire occupancy mirrors the port-busy flags (the wire
-// leaving stage n−1 at position w is port w), and free-resource
-// counts stay within [0, perPort].
+// dynamic state: the occupancy registers are exactly the union of the
+// busy ports' circuits (so every stage carries one wire per circuit),
+// each circuit ends at its own port (the wire leaving stage n−1 at
+// position w is port w), free-resource counts stay within [0, perPort],
+// and the eligibility register matches a recount of the port state.
 func (o *Omega) VerifyState() error {
-	occ0 := 0
-	for w := 0; w < o.size; w++ {
-		if o.outOcc[0][w] {
-			occ0++
+	var held [maxStages]uint64
+	for j, busy := range o.portBusy {
+		if !busy {
+			continue
 		}
-	}
-	for s := 1; s < o.n; s++ {
-		c := 0
-		for w := 0; w < o.size; w++ {
-			if o.outOcc[s][w] {
-				c++
+		c := o.circuit[j]
+		if w := wireAt(c, o.n-1); w != j {
+			return invariant.Errorf("omega", "port %d holds a circuit ending at port %d", j, w)
+		}
+		for s := 0; s < o.n; s++ {
+			bit := uint64(1) << uint(wireAt(c, s))
+			if held[s]&bit != 0 {
+				return invariant.Errorf("omega",
+					"stage %d wire %d carries two circuits (one ends at port %d)", s, wireAt(c, s), j)
 			}
-		}
-		if c != occ0 {
-			return invariant.Errorf("omega",
-				"stage %d carries %d circuits while stage 0 carries %d", s, c, occ0)
+			held[s] |= bit
 		}
 	}
-	for w := 0; w < o.size; w++ {
-		if o.outOcc[o.n-1][w] != o.portBusy[w] {
+	for s, occ := range o.occ {
+		if occ != held[s] {
 			return invariant.Errorf("omega",
-				"port %d: last-stage wire occupancy %v disagrees with port-busy flag %v",
-				w, o.outOcc[o.n-1][w], o.portBusy[w])
+				"stage %d occupancy register %#x, busy ports' circuits hold %#x", s, occ, held[s])
 		}
 	}
 	for j, f := range o.free {
@@ -631,14 +557,13 @@ func (o *Omega) VerifyState() error {
 //
 //lint:hotpath
 func (o *Omega) ReleasePath(g core.Grant) {
-	pg := g.Path.(*pathGrant)
-	// wires were appended innermost-first: wires[0] is the last stage.
-	for i, w := range pg.wires {
-		s := o.n - 1 - i
-		if !o.outOcc[s][w] {
+	c := o.circuit[g.Port]
+	for s := 0; s < o.n; s++ {
+		bit := uint64(1) << uint(wireAt(c, s))
+		if o.occ[s]&bit == 0 {
 			panic("omega: ReleasePath on free wire")
 		}
-		o.outOcc[s][w] = false
+		o.occ[s] &^= bit
 	}
 	if !o.portBusy[g.Port] {
 		panic("omega: ReleasePath with idle port")
@@ -650,9 +575,7 @@ func (o *Omega) ReleasePath(g core.Grant) {
 	o.verify()
 }
 
-// ReleaseResource implements core.Network. This is the grant's final
-// release (ReleasePath precedes it), so the path record goes back to
-// the pool here.
+// ReleaseResource implements core.Network.
 //
 //lint:hotpath
 func (o *Omega) ReleaseResource(g core.Grant) {
@@ -662,9 +585,6 @@ func (o *Omega) ReleaseResource(g core.Grant) {
 	o.free[g.Port]++
 	if o.free[g.Port] == 1 && !o.portBusy[g.Port] {
 		o.elig |= 1 << uint(g.Port)
-	}
-	if pg, ok := g.Path.(*pathGrant); ok {
-		o.putPath(pg)
 	}
 	o.verify()
 }
@@ -706,7 +626,7 @@ func (o *Omega) Stages() int { return o.n }
 // EntryWire returns the stage-0 input wire position of processor pid.
 // Together with BoxOutputs and NextInput it exposes the wire-level DAG
 // for external schedulers (e.g. the max-flow optimal allocator).
-func (o *Omega) EntryWire(pid int) int { return o.entry(pid) }
+func (o *Omega) EntryWire(pid int) int { return o.shuffle(pid) }
 
 // BoxOutputs returns the two candidate output wires of the box entered
 // at input wire pos of stage s.
@@ -720,11 +640,11 @@ func (o *Omega) BoxOutputs(s, pos int) [2]int {
 
 // NextInput maps an output wire of stage s to the input position of
 // stage s+1.
-func (o *Omega) NextInput(s, pos int) int { return o.next(s, pos) }
+func (o *Omega) NextInput(s, pos int) int { return o.shuffle(pos) }
 
 // WireOccupied reports whether the output wire at position w of stage s
 // currently carries a circuit.
-func (o *Omega) WireOccupied(s, w int) bool { return o.outOcc[s][w] }
+func (o *Omega) WireOccupied(s, w int) bool { return o.occ[s]&(1<<uint(w)) != 0 }
 
 // PortEligible reports whether output port j can accept a new request
 // (bus free and at least one free resource) — the paper's Y signal.
@@ -742,11 +662,7 @@ func (o *Omega) Reset() {
 		o.free[i] = o.perPort
 	}
 	o.elig = allPorts(o.size)
-	for s := range o.outOcc {
-		for w := range o.outOcc[s] {
-			o.outOcc[s][w] = false
-		}
-	}
+	o.occ = [maxStages]uint64{}
 	o.tel = core.Telemetry{}
 	for i := range o.rejectsByStage {
 		o.rejectsByStage[i] = 0

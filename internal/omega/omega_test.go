@@ -441,11 +441,46 @@ func TestReachCounts(t *testing.T) {
 	// reachable — for every supported wiring.
 	for _, w := range []Wiring{OmegaWiring, CubeWiring} {
 		o := New(16, 1, WithWiring(w))
+		reach := refReach(o)
 		for s := 0; s < o.Stages(); s++ {
 			want := 1 << (o.Stages() - 1 - s)
 			for wire := 0; wire < 16; wire++ {
-				if got := bits.OnesCount64(o.reach[s][wire]); got != want {
+				if got := bits.OnesCount64(reach[s][wire]); got != want {
 					t.Fatalf("%v: reach[%d][%d] = %d ports, want %d", w, s, wire, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestClosedFormReachMatchesTable requires the stage registers' closed
+// form to give every stage-output wire exactly the ports the reach
+// table propagated back through the wiring, for both wirings and every
+// N = 2, 4, …, 64, and the box pairing to match the wiring's.
+func TestClosedFormReachMatchesTable(t *testing.T) {
+	for _, w := range []Wiring{OmegaWiring, CubeWiring} {
+		for n := 2; n <= 64; n *= 2 {
+			o := New(n, 1, WithWiring(w))
+			wr := newRefWiring(o)
+			for s, row := range refReach(o) {
+				for wire, want := range row {
+					var got uint64
+					for j := 0; j < n; j++ {
+						if o.reaches(s, wire, 1<<uint(j)) {
+							got |= 1 << uint(j)
+						}
+					}
+					if got != want {
+						t.Fatalf("%v N=%d: stage %d wire %d reaches %#x, table %#x", w, n, s, wire, got, want)
+					}
+					if o.pair(s, wire) != wr.pair(s, wire) {
+						t.Fatalf("%v N=%d: stage %d pairs wire %d with %d, want %d", w, n, s, wire, o.pair(s, wire), wr.pair(s, wire))
+					}
+				}
+			}
+			for pos := 0; pos < n; pos++ {
+				if o.NextInput(0, pos) != wr.next(pos) {
+					t.Fatalf("%v N=%d: wire %d feeds input %d, want %d", w, n, pos, o.NextInput(0, pos), wr.next(pos))
 				}
 			}
 		}

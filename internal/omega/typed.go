@@ -25,9 +25,8 @@ type TypedOmega struct {
 	// free[j][t]: free resources of type t behind port j.
 	free [][]int
 	cap  [][]int
-	// tgPool recycles the typed-grant wrappers exactly as the substrate
-	// pools its path records, so bound typed networks are allocation-free
-	// in steady state too.
+	// tgPool recycles the typed-grant records, so bound typed networks
+	// are allocation-free in steady state.
 	tgPool []*typedGrant
 	tel    core.Telemetry
 }
@@ -85,13 +84,13 @@ func maxPool(pools [][]int) int {
 	return m
 }
 
-// typedGrant augments the path grant with the reserved type.
+// typedGrant records the resource type a typed grant reserved; the
+// circuit itself lives in the substrate's per-port record.
 type typedGrant struct {
-	inner core.Grant
-	typ   int
+	typ int
 }
 
-// takeTG pops a recycled typed-grant wrapper, or mints one on a cold
+// takeTG pops a recycled typed-grant record, or mints one on a cold
 // pool.
 //
 //lint:hotpath
@@ -105,7 +104,7 @@ func (to *TypedOmega) takeTG() *typedGrant {
 	return &typedGrant{}
 }
 
-// putTG returns a wrapper to the pool.
+// putTG returns a record to the pool.
 //
 //lint:hotpath
 func (to *TypedOmega) putTG(tg *typedGrant) {
@@ -156,10 +155,10 @@ func (to *TypedOmega) AcquireType(pid, t int) (core.Grant, bool) {
 		return core.Grant{}, false
 	}
 	rejBefore := to.tel.Rejects
-	pg := to.net.takePath()
-	port, ok := to.routeTyped(0, to.net.entry(pid), elig, &pg.wires)
+	// The substrate's search with the type-t availability registers; it
+	// counts into the typed network's telemetry.
+	port, ok := to.net.route(pid, elig, &to.tel, nil)
 	if !ok {
-		to.net.putPath(pg)
 		to.tel.Failures++
 		to.tel.PathBlock++
 		return core.Grant{Rejects: to.tel.Rejects - rejBefore}, false
@@ -172,71 +171,17 @@ func (to *TypedOmega) AcquireType(pid, t int) (core.Grant, bool) {
 	to.free[port][t]--
 	to.tel.Grants++
 	tg := to.takeTG()
-	tg.inner = core.Grant{Processor: pid, Port: port, Path: pg}
 	tg.typ = t
 	return core.Grant{Processor: pid, Port: port, Path: tg, Rejects: to.tel.Rejects - rejBefore}, true
-}
-
-// routeTyped is the DFS of route with a per-type eligibility mask.
-//
-//lint:hotpath
-func (to *TypedOmega) routeTyped(s, pos int, elig uint64, wires *[]int) (int, bool) {
-	o := to.net
-	to.tel.BoxVisits++
-	outs := [2]int{pos, o.pair(s, pos)}
-	if outs[0] > outs[1] {
-		outs[0], outs[1] = outs[1], outs[0]
-	}
-	first := 0
-	if o.policy == LaneRandom {
-		first = o.rnd.Intn(2)
-	}
-	for k := 0; k < 2; k++ {
-		out := outs[first^k]
-		if o.outOcc[s][out] {
-			continue
-		}
-		if s == o.n-1 {
-			if elig&(1<<uint(out)) == 0 {
-				continue
-			}
-			o.outOcc[s][out] = true
-			//lint:ignore hotalloc append into the pooled record's retained capacity; pinned by TestTypedAcquireZeroAlloc
-			*wires = append(*wires, out)
-			return out, true
-		}
-		// The type-t availability register of this output wire.
-		if o.reach[s][out]&elig == 0 {
-			continue
-		}
-		o.outOcc[s][out] = true
-		port, ok := to.routeTyped(s+1, o.next(s, out), elig, wires)
-		if ok {
-			//lint:ignore hotalloc append into the pooled record's retained capacity; pinned by TestTypedAcquireZeroAlloc
-			*wires = append(*wires, out)
-			return port, true
-		}
-		o.outOcc[s][out] = false
-		to.tel.Rejects++
-		to.tel.BoxVisits++
-		if !o.reroute {
-			return 0, false
-		}
-	}
-	return 0, false
 }
 
 // ReleasePath frees the circuit; the typed resource keeps serving.
 //
 //lint:hotpath
-func (to *TypedOmega) ReleasePath(g core.Grant) {
-	tg := g.Path.(*typedGrant)
-	to.net.ReleasePath(tg.inner)
-}
+func (to *TypedOmega) ReleasePath(g core.Grant) { to.net.ReleasePath(g) }
 
 // ReleaseResource returns the typed resource to its pool. This is the
-// grant's final release, so the wrapper and its path record recycle
-// here.
+// grant's final release, so the record recycles here.
 //
 //lint:hotpath
 func (to *TypedOmega) ReleaseResource(g core.Grant) {
@@ -245,9 +190,6 @@ func (to *TypedOmega) ReleaseResource(g core.Grant) {
 		panic("omega: typed ReleaseResource overflow")
 	}
 	to.free[g.Port][tg.typ]++
-	if pg, ok := tg.inner.Path.(*pathGrant); ok {
-		to.net.putPath(pg)
-	}
 	to.putTG(tg)
 }
 

@@ -23,7 +23,7 @@ func TestGrantTableReusesFreedSlots(t *testing.T) {
 	gt := newGrantTable()
 	a := gt.put(core.Grant{Processor: 0}, 0)
 	b := gt.put(core.Grant{Processor: 1}, 1)
-	gt.take(a)
+	gt.release(a)
 	// The freed slot must be reused before the table grows.
 	c := gt.put(core.Grant{Processor: 2}, 2)
 	if c != a {
@@ -37,6 +37,23 @@ func TestGrantTableReusesFreedSlots(t *testing.T) {
 	}
 	if g := gt.get(c); g.Processor != 2 {
 		t.Errorf("reused slot holds %+v", g)
+	}
+}
+
+// TestGrantTablePutClearsRecord requires put to leave nothing of a
+// released slot's previous record: the transmission stamp and the
+// attribution payload read zero until markTx and setAttr write them.
+func TestGrantTablePutClearsRecord(t *testing.T) {
+	gt := newGrantTable()
+	i := gt.put(core.Grant{Processor: 9, Port: 1, Path: "x"}, 3)
+	gt.markTx(i, 4)
+	gt.setAttr(i, 7, 3.5, 1, 2)
+	gt.release(i)
+	if j := gt.put(core.Grant{Processor: 2}, 5); j != i {
+		t.Fatalf("put reused slot %d, want %d", j, i)
+	}
+	if s := *gt.slot(i); s != (grantSlot{g: core.Grant{Processor: 2}, arrived: 5}) {
+		t.Errorf("slot %d after reuse holds %+v", i, s)
 	}
 }
 
@@ -59,14 +76,14 @@ func TestGrantTableOutstanding(t *testing.T) {
 	if gt.outstanding() != 2 {
 		t.Fatalf("outstanding = %d, want 2", gt.outstanding())
 	}
-	gt.take(a)
+	gt.release(a)
 	if gt.outstanding() != 1 {
 		t.Fatalf("outstanding = %d, want 1", gt.outstanding())
 	}
 	// LIFO reuse keeps outstanding consistent across churn.
 	for k := 0; k < 100; k++ {
 		i := gt.put(core.Grant{Processor: k}, float64(k))
-		gt.take(i)
+		gt.release(i)
 	}
 	if gt.outstanding() != 1 {
 		t.Fatalf("outstanding after churn = %d, want 1", gt.outstanding())

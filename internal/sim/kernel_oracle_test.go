@@ -22,7 +22,7 @@ import (
 //
 // Do not modify this copy when changing sim.go; it is the oracle, and
 // drifting it would hollow out the proof. It always uses the binary
-// heap. Four edits have been made since it was frozen. Two sit behind
+// heap. Six edits have been made since it was frozen. Two sit behind
 // a parameter that restores the original when false: the legacy wake
 // selector, and the peersOnly filter, with which both wake paths skip
 // every processor outside the released grant's core.Peers range. The
@@ -32,6 +32,11 @@ import (
 // fourth deleted the non-legacy mode's core.AvailabilityHinter call
 // when the kernel dropped it: every allocation attempt is one Acquire
 // call in both modes, as it always was in legacy mode.
+// The fifth moved the grant table's take method here, verbatim apart
+// from its lint directives, when the kernel began reading its grant
+// records in place: the oracle is take's only caller. The sixth
+// passes the waiter scan its new upper bound p, the whole set, which
+// is where the one-argument scan it was frozen with stopped.
 
 // oracleEvent is the frozen kernel's 40-byte event record.
 type oracleEvent struct {
@@ -329,7 +334,7 @@ func runOracle(net core.Network, cfg Config, legacy, peersOnly bool) (res Result
 			return
 		}
 		if cfg.RetryJitter > 0 {
-			for pid := blocked.next(0); pid != -1; pid = blocked.next(pid + 1) {
+			for pid := blocked.next(0, p); pid != -1; pid = blocked.next(pid+1, p) {
 				if outside(pid) || retryPend[pid] {
 					continue
 				}
@@ -342,7 +347,7 @@ func runOracle(net core.Network, cfg Config, legacy, peersOnly bool) (res Result
 		case WakeIndexOrder:
 			for progress := true; progress; {
 				progress = false
-				for pid := blocked.next(0); pid != -1; pid = blocked.next(pid + 1) {
+				for pid := blocked.next(0, p); pid != -1; pid = blocked.next(pid+1, p) {
 					if !outside(pid) && tryStart(pid) {
 						progress = true
 					}
@@ -352,12 +357,12 @@ func runOracle(net core.Network, cfg Config, legacy, peersOnly bool) (res Result
 			rrStart = (rrStart + 1) % p
 			for progress := true; progress; {
 				progress = false
-				for pid := blocked.next(rrStart); pid != -1; pid = blocked.next(pid + 1) {
+				for pid := blocked.next(rrStart, p); pid != -1; pid = blocked.next(pid+1, p) {
 					if !outside(pid) && tryStart(pid) {
 						progress = true
 					}
 				}
-				for pid := blocked.next(0); pid != -1 && pid < rrStart; pid = blocked.next(pid + 1) {
+				for pid := blocked.next(0, p); pid != -1 && pid < rrStart; pid = blocked.next(pid+1, p) {
 					if !outside(pid) && tryStart(pid) {
 						progress = true
 					}
@@ -505,4 +510,13 @@ func oracleBlockedInvariant(procs []oracleProcState, ws *waiterSet) error {
 			"wake-list count drift: %d processors blocked, set size %d", count, ws.n)
 	}
 	return nil
+}
+
+// take copies slot i's record out, clears the slot and returns index i
+// to the free list.
+func (t *grantTable) take(i int) grantSlot {
+	s := t.slots[i]
+	t.slots[i] = grantSlot{}
+	t.free = append(t.free, i)
+	return s
 }

@@ -559,7 +559,7 @@ func (k *kernel) tryStart(pid int) bool {
 //lint:hotpath post-release retry engine
 func (k *kernel) wake(lo, hi int) {
 	if k.cfg.RetryJitter > 0 {
-		for pid := k.blocked.next(lo); pid != -1 && pid < hi; pid = k.blocked.next(pid + 1) {
+		for pid := k.blocked.next(lo, hi); pid != -1; pid = k.blocked.next(pid+1, hi) {
 			if k.q.armedAt(k.p + pid) {
 				continue
 			}
@@ -571,7 +571,7 @@ func (k *kernel) wake(lo, hi int) {
 	case WakeIndexOrder:
 		for progress := true; progress; {
 			progress = false
-			for pid := k.blocked.next(lo); pid != -1 && pid < hi; pid = k.blocked.next(pid + 1) {
+			for pid := k.blocked.next(lo, hi); pid != -1; pid = k.blocked.next(pid+1, hi) {
 				if k.tryStart(pid) {
 					progress = true
 				}
@@ -581,12 +581,13 @@ func (k *kernel) wake(lo, hi int) {
 		k.rrStart = (k.rrStart + 1) % k.p
 		for progress := true; progress; {
 			progress = false
-			for pid := k.blocked.next(max(lo, k.rrStart)); pid != -1 && pid < hi; pid = k.blocked.next(pid + 1) {
+			for pid := k.blocked.next(max(lo, k.rrStart), hi); pid != -1; pid = k.blocked.next(pid+1, hi) {
 				if k.tryStart(pid) {
 					progress = true
 				}
 			}
-			for pid := k.blocked.next(lo); pid != -1 && pid < min(hi, k.rrStart); pid = k.blocked.next(pid + 1) {
+			end := min(hi, k.rrStart)
+			for pid := k.blocked.next(lo, end); pid != -1; pid = k.blocked.next(pid+1, end) {
 				if k.tryStart(pid) {
 					progress = true
 				}
@@ -687,13 +688,14 @@ func (k *kernel) txDone(gi int) {
 
 // svcDone completes the task served on grant gi: the resource is
 // released, the response time recorded, and blocked waiters retry. It
-// disarms gi's timer slot before the wake, whose first grant reuses gi
-// (the grant table's free list is LIFO) and re-arms the slot.
+// disarms gi's timer slot and reads gi's record in place, then frees gi
+// before the wake, whose first grant reuses gi (the grant table's free
+// list is LIFO) and re-arms the slot.
 //
 //lint:hotpath
 func (k *kernel) svcDone(gi int) {
 	k.q.disarm(k.gbase + gi)
-	s := k.grants.take(gi)
+	s := k.grants.slot(gi)
 	lo, hi := k.peers(s.g)
 	k.net.ReleaseResource(s.g)
 	k.inService--
@@ -732,6 +734,7 @@ func (k *kernel) svcDone(gi int) {
 			Wait: s.wait, Block: s.block, Tx: tx, Svc: svc,
 		})
 	}
+	k.grants.release(gi)
 	// The freed resource may unblock queued tasks of its sub-network.
 	k.wake(lo, hi)
 }
@@ -765,17 +768,25 @@ type grantSlot struct {
 
 func newGrantTable() *grantTable { return &grantTable{} }
 
+// put stores g and its task's arrival time in a free slot, reusing the
+// most recently released index first, and returns the index. It writes
+// the fields in place and clears the rest of the record.
+//
 //lint:hotpath
 func (t *grantTable) put(g core.Grant, arrived float64) int {
+	var i int
 	if n := len(t.free); n > 0 {
-		i := t.free[n-1]
+		i = t.free[n-1]
 		t.free = t.free[:n-1]
-		t.slots[i] = grantSlot{g: g, arrived: arrived}
-		return i
+	} else {
+		//lint:ignore hotalloc slot growth stops at the run's peak concurrency; pinned by TestHotStructuresZeroAlloc
+		t.slots = append(t.slots, grantSlot{})
+		i = len(t.slots) - 1
 	}
-	//lint:ignore hotalloc slot growth stops at the run's peak concurrency; pinned by TestHotStructuresZeroAlloc
-	t.slots = append(t.slots, grantSlot{g: g, arrived: arrived})
-	return len(t.slots) - 1
+	s := &t.slots[i]
+	s.g, s.arrived, s.txDone = g, arrived, 0
+	s.req, s.txStart, s.wait, s.block = 0, 0, 0, 0
+	return i
 }
 
 //lint:hotpath
@@ -783,9 +794,9 @@ func (t *grantTable) get(i int) core.Grant { return t.slots[i].g }
 
 // setAttr stores slot i's latency-attribution payload: request id,
 // transmit-start time, and the fixed-up queue-wait/network-blocking
-// phases. Called only when a probe is attached; put's composite-literal
-// assignment clears the fields on slot reuse, so the oracle kernel
-// (which never calls setAttr) is unaffected.
+// phases. Called only when a probe is attached; put clears the fields
+// on slot reuse, so the oracle kernel (which never calls setAttr) is
+// unaffected.
 //
 //lint:hotpath
 func (t *grantTable) setAttr(i int, req int64, txStart, wait, block float64) {
@@ -807,14 +818,19 @@ func (t *grantTable) req(i int) int64 { return t.slots[i].req }
 //lint:hotpath
 func (t *grantTable) markTx(i int, tx float64) { t.slots[i].txDone = tx }
 
-// outstanding counts grants currently held (put but not yet taken).
+// outstanding counts grants currently held (put but not yet released).
 func (t *grantTable) outstanding() int { return len(t.slots) - len(t.free) }
 
+// slot returns slot i's record in place. It stays valid until the
+// next put, which may reuse or move it.
+//
 //lint:hotpath
-func (t *grantTable) take(i int) grantSlot {
-	s := t.slots[i]
-	t.slots[i] = grantSlot{}
+func (t *grantTable) slot(i int) *grantSlot { return &t.slots[i] }
+
+// release returns index i to the free list; the next put reuses it.
+//
+//lint:hotpath
+func (t *grantTable) release(i int) {
 	//lint:ignore hotalloc free-list append reuses capacity released by put; pinned by TestHotStructuresZeroAlloc
 	t.free = append(t.free, i)
-	return s
 }

@@ -54,35 +54,34 @@ func (ws *waiterSet) contains(pid int) bool {
 // empty reports whether the set has no members.
 func (ws *waiterSet) empty() bool { return ws.n == 0 }
 
-// next returns the smallest member ≥ from, or -1 when none remains.
-// Iterating with `for pid := ws.next(0); pid != -1; pid = ws.next(pid+1)`
-// visits the members in ascending order; removing the currently visited
-// member during iteration is safe (the scan never revisits positions
-// below the cursor), which is the only mutation a wake pass performs —
-// a grant removes the granted waiter and can never add one, since
-// grants only consume network capacity.
+// next returns the smallest member in [from, hi), or -1 when none is.
+// Iterating with `for pid := ws.next(lo, hi); pid != -1; pid =
+// ws.next(pid+1, hi)` visits the range's members in ascending order and
+// reads no word past the range; removing the currently visited member
+// during iteration is safe (the scan never revisits positions below
+// the cursor), which is the only mutation a wake pass performs — a
+// grant removes the granted waiter and can never add one, since grants
+// only consume network capacity.
 //
 //lint:hotpath
-func (ws *waiterSet) next(from int) int {
-	if from < 0 {
-		from = 0
-	}
-	w := from >> 6
-	if w >= len(ws.words) {
+func (ws *waiterSet) next(from, hi int) int {
+	from, hi = max(from, 0), min(hi, len(ws.words)<<6)
+	if from >= hi {
 		return -1
 	}
+	w, last := from>>6, (hi-1)>>6
 	// Mask off bits below from within its word, then scan forward.
 	word := ws.words[w] >> uint(from&63) << uint(from&63)
-	for {
-		if word != 0 {
-			return w<<6 + bits.TrailingZeros64(word)
-		}
-		w++
-		if w >= len(ws.words) {
+	for word == 0 {
+		if w++; w > last {
 			return -1
 		}
 		word = ws.words[w]
 	}
+	if pid := w<<6 + bits.TrailingZeros64(word); pid < hi {
+		return pid
+	}
+	return -1
 }
 
 // blockedInvariant recounts the blocked predicate from the ground-truth

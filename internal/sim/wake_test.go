@@ -27,18 +27,21 @@ func TestWaiterSetBasics(t *testing.T) {
 		t.Fatalf("count = %d, want 5", ws.n)
 	}
 	var got []int
-	for pid := ws.next(0); pid != -1; pid = ws.next(pid + 1) {
+	for pid := ws.next(0, 130); pid != -1; pid = ws.next(pid+1, 130) {
 		got = append(got, pid)
 	}
 	want := []int{0, 63, 64, 100, 129}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("iteration %v, want %v", got, want)
 	}
-	if ws.next(65) != 100 {
-		t.Errorf("next(65) = %d, want 100", ws.next(65))
+	if ws.next(65, 130) != 100 {
+		t.Errorf("next(65, 130) = %d, want 100", ws.next(65, 130))
 	}
-	if ws.next(130) != -1 {
-		t.Errorf("next past end = %d, want -1", ws.next(130))
+	if ws.next(65, 100) != -1 {
+		t.Errorf("next(65, 100) = %d, want -1: 100 is past the bound", ws.next(65, 100))
+	}
+	if ws.next(130, 130) != -1 {
+		t.Errorf("next past end = %d, want -1", ws.next(130, 130))
 	}
 	ws.remove(63)
 	ws.remove(63) // duplicate remove is a no-op
@@ -51,7 +54,7 @@ func TestWaiterSetBasics(t *testing.T) {
 	if !ws.empty() {
 		t.Fatal("set not empty after removing all members")
 	}
-	if ws.next(0) != -1 {
+	if ws.next(0, 130) != -1 {
 		t.Fatal("next on empty set did not return -1")
 	}
 }
@@ -84,7 +87,7 @@ func TestWaiterSetPropertyVsMap(t *testing.T) {
 		// Ascending iteration must enumerate exactly the reference set.
 		seen := 0
 		prev := -1
-		for m := ws.next(0); m != -1; m = ws.next(m + 1) {
+		for m := ws.next(0, p); m != -1; m = ws.next(m+1, p) {
 			if m <= prev || !ref[m] {
 				t.Fatalf("step %d: iteration yielded %d (prev %d, ref member %v)", step, m, prev, ref[m])
 			}
@@ -93,6 +96,47 @@ func TestWaiterSetPropertyVsMap(t *testing.T) {
 		}
 		if seen != len(ref) {
 			t.Fatalf("step %d: iterated %d members, ref has %d", step, seen, len(ref))
+		}
+	}
+}
+
+// TestWaiterSetBoundedScan checks the bounded scan on random sets and
+// ranges: iterating next(from, hi) yields exactly the members of
+// [from, hi) in ascending order, then -1. The sizes straddle word
+// boundaries, and the ranges include empty, inverted and overhanging
+// ones.
+func TestWaiterSetBoundedScan(t *testing.T) {
+	src := rng.New(0x5ca1ab1e)
+	for _, p := range []int{1, 63, 64, 65, 200, 4096} {
+		ws := newWaiterSet(p)
+		member := make([]bool, p)
+		for step := 0; step < 400; step++ {
+			// Fill to a random density, from nearly empty to nearly full.
+			density := src.Intn(100)
+			for pid := range member {
+				member[pid] = src.Intn(100) < density
+				if member[pid] {
+					ws.add(pid)
+				} else {
+					ws.remove(pid)
+				}
+			}
+			from, hi := src.Intn(p+66)-1, src.Intn(p+66)-1
+			var got, want []int
+			for pid := ws.next(from, hi); pid != -1; pid = ws.next(pid+1, hi) {
+				got = append(got, pid)
+				if len(got) > p {
+					t.Fatalf("p=%d step %d: next(%d, %d) does not terminate", p, step, from, hi)
+				}
+			}
+			for pid := max(from, 0); pid < min(hi, p); pid++ {
+				if member[pid] {
+					want = append(want, pid)
+				}
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("p=%d step %d: scan of [%d, %d) yields %v, want %v", p, step, from, hi, got, want)
+			}
 		}
 	}
 }
