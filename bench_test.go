@@ -165,12 +165,13 @@ func BenchmarkTable2(b *testing.B) {
 // --- Ablation benches (DESIGN.md §5) ---
 
 // BenchmarkOmegaReroutePolicy compares in-network rerouting against
-// reject-to-source on the 16×16 Omega network at moderate load.
+// reject-to-source on the 16×16 Omega network at moderate load. It
+// builds the network directly: config.Build always reroutes.
 func BenchmarkOmegaReroutePolicy(b *testing.B) {
-	run := func(b *testing.B, noReroute bool) {
+	run := func(b *testing.B, opts ...omega.Option) {
 		lambda := queueing.LambdaForIntensity(0.6, 16, 1, 0.1, 32)
 		for i := 0; i < b.N; i++ {
-			net := benchNet(b, "16/1x16x16 OMEGA/2", config.BuildOptions{NoReroute: noReroute})
+			net := omega.New(16, 2, opts...)
 			res, err := sim.Run(net, sim.Config{
 				Lambda: lambda, MuN: 1, MuS: 0.1, Seed: 1, Warmup: 1000, Samples: 50000,
 			})
@@ -183,32 +184,8 @@ func BenchmarkOmegaReroutePolicy(b *testing.B) {
 			}
 		}
 	}
-	b.Run("reroute", func(b *testing.B) { run(b, false) })
-	b.Run("no-reroute", func(b *testing.B) { run(b, true) })
-}
-
-// BenchmarkWakeupPolicy compares the retry orderings after a release:
-// the paper's asymmetric index order, round-robin, and the POLYP-style
-// random order.
-func BenchmarkWakeupPolicy(b *testing.B) {
-	lambda := queueing.LambdaForIntensity(0.7, 16, 1, 0.1, 32)
-	for _, pol := range []sim.WakePolicy{sim.WakeIndexOrder, sim.WakeRoundRobin, sim.WakeRandom} {
-		b.Run(pol.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				net := crossbar.New(16, 16, 2)
-				res, err := sim.Run(net, sim.Config{
-					Lambda: lambda, MuN: 1, MuS: 0.1,
-					Seed: 1, Warmup: 1000, Samples: 50000, WakePolicy: pol,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == 0 {
-					b.ReportMetric(res.NormalizedDelay.Mean, "d·μs")
-				}
-			}
-		})
-	}
+	b.Run("reroute", func(b *testing.B) { run(b) })
+	b.Run("no-reroute", func(b *testing.B) { run(b, omega.WithoutReroute()) })
 }
 
 // BenchmarkStatusStaleness compares live status propagation (assumption
@@ -243,30 +220,6 @@ func BenchmarkStatusStaleness(b *testing.B) {
 		}
 		b.ReportMetric(float64(rejects)/float64(b.N), "rejects/batch")
 	})
-}
-
-// BenchmarkRetryJitter measures the paper's random-retry-delay
-// suggestion (Section V): de-synchronizing the simultaneous retries
-// caused by clocked status broadcasts, at the cost of extra queueing.
-func BenchmarkRetryJitter(b *testing.B) {
-	lambda := queueing.LambdaForIntensity(0.6, 16, 1, 0.1, 32)
-	for _, jitter := range []float64{0, 0.1, 0.5} {
-		b.Run(fmt.Sprintf("jitter=%g", jitter), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				net := benchNet(b, "16/1x16x16 OMEGA/2", config.BuildOptions{})
-				res, err := sim.Run(net, sim.Config{
-					Lambda: lambda, MuN: 1, MuS: 0.1,
-					Seed: 1, Warmup: 1000, Samples: 50000, RetryJitter: jitter,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == 0 {
-					b.ReportMetric(res.NormalizedDelay.Mean, "d·μs")
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkWiringComparison compares the Omega and indirect-binary-

@@ -25,9 +25,10 @@
 // serialized stderr sink, so status lines and timing reports never
 // interleave; figure tables stay alone on stdout. The timing line
 // reports each artifact's wall time, workers, jobs and pool occupancy;
-// -trace writes a wall-clock Chrome trace of the worker pool's job
+// -job-trace writes a wall-clock Chrome trace of the worker pool's job
 // schedule (one process per artifact, one thread per worker — open in
-// Perfetto), and -cpuprofile/-memprofile write pprof profiles.
+// Perfetto), and -cpuprofile/-memprofile write pprof profiles. The name
+// keeps it apart from rsinsim -trace, which records simulated time.
 //
 // Invalid flag values, unsupported flag combinations and unknown -fig
 // names are rejected with a one-line error on stderr and exit status 1,
@@ -86,7 +87,7 @@ func run(sink *obs.Sink) error {
 		timing   = flag.Bool("timing", true, "report per-artifact wall-clock timing on stderr")
 		check    = flag.Bool("check", false, "enable runtime model-invariant checks (see internal/invariant)")
 
-		traceOut   = flag.String("trace", "", "write a wall-clock Chrome trace_event JSON of the worker pool's job schedule to this file (open in Perfetto)")
+		traceOut   = flag.String("job-trace", "", "write a wall-clock Chrome trace_event JSON of the worker pool's job schedule to this file (open in Perfetto)")
 		attrOut    = flag.String("attr", "", "collect a latency-attribution report for every simulated sweep cell and write them as one rsin-attr-set/1 JSON file (byte-identical for any -workers value)")
 		attrTopK   = flag.Int("attr-topk", 10, "slowest requests kept per run in the -attr reports")
 		seriesOut  = flag.String("series", "", "collect simulated-time series (queue length, busy resources, blocked waiters) for every simulated sweep cell into one rsin-series-set/1 JSON file")

@@ -59,6 +59,10 @@ func TestRejectedInvocations(t *testing.T) {
 		// -metrics repeated the timing line's wall time, workers, jobs
 		// and occupancy as JSON; it is retired.
 		{"removed metrics flag", []string{"-fig", "11", "-metrics", filepath.Join(dir, "m.json")}},
+		// -trace recorded the runner's wall-clock job schedule, while
+		// rsinsim -trace records the simulated lifecycle; it is now
+		// -job-trace.
+		{"renamed trace flag", []string{"-fig", "11", "-trace", filepath.Join(dir, "t.json")}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			stdout, msg, err := runFigures(tc.args...)
@@ -81,7 +85,7 @@ func TestRejectedInvocations(t *testing.T) {
 
 // TestAcceptedInvocations pins four working forms: a walkthrough, a
 // gate-level table, a simulated figure as CSV, and a simulated figure
-// with -trace, whose file must be valid JSON. With -timing=false
+// with -job-trace, whose file must be valid JSON. With -timing=false
 // nothing reaches stderr.
 func TestAcceptedInvocations(t *testing.T) {
 	trace := filepath.Join(t.TempDir(), "t.json")
@@ -92,7 +96,7 @@ func TestAcceptedInvocations(t *testing.T) {
 		{[]string{"-fig", "11"}, "== fig11: Omega-network walkthrough"},
 		{[]string{"-fig", "table1"}, "== Table I: truth table of cell in shared buses"},
 		{[]string{"-fig", "7", "-quick", "-format", "csv"}, "rho,16/1x16x32 XBAR/1,16/1x16x32 XBAR/1 ±,"},
-		{[]string{"-fig", "7", "-quick", "-workers", "2", "-trace", trace}, "== fig7:"},
+		{[]string{"-fig", "7", "-quick", "-workers", "2", "-job-trace", trace}, "== fig7:"},
 	} {
 		args := append(tc.args, "-timing=false")
 		stdout, stderr, err := runFigures(args...)
@@ -104,7 +108,7 @@ func TestAcceptedInvocations(t *testing.T) {
 		}
 	}
 	if data, err := os.ReadFile(trace); err != nil || !json.Valid(data) {
-		t.Errorf("-trace file: err=%v, valid JSON=%v", err, json.Valid(data))
+		t.Errorf("-job-trace file: err=%v, valid JSON=%v", err, json.Valid(data))
 	}
 }
 

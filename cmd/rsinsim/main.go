@@ -16,7 +16,9 @@
 // -workers goroutines, each on its own derived random stream
 // (runner.DeriveSeed), and the pooled estimate is reported alongside
 // the per-replication means. The output is bit-for-bit identical for
-// any -workers value.
+// any -workers value. Replication r simulates on DeriveSeed(seed, 0,
+// 2r); the odd slots once seeded the networks, which draw no random
+// numbers, and stay unused so every replication keeps its stream.
 //
 // With -shards S > 0, the configuration's i independent sub-networks
 // (requests never cross a partition) run as a sharded simulation: each
@@ -324,7 +326,7 @@ func run() error {
 			}
 		}
 		outs = runner.Map(runner.Options{Workers: *workers}, *reps, func(r int) repOut {
-			net, err := cfg.Build(config.BuildOptions{Seed: runner.DeriveSeed(*seed, 0, 2*r+1)})
+			net, err := cfg.Build(config.BuildOptions{})
 			if err != nil {
 				return repOut{err: err}
 			}

@@ -53,7 +53,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			net, err := cfg.Build(config.BuildOptions{Seed: 3})
+			net, err := cfg.Build(config.BuildOptions{})
 			if err != nil {
 				log.Fatal(err)
 			}

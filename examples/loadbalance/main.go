@@ -56,7 +56,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		net, err := cfg.Build(config.BuildOptions{Seed: 5})
+		net, err := cfg.Build(config.BuildOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -26,7 +26,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	net, err := cfg.Build(config.BuildOptions{Seed: 42})
+	net, err := cfg.Build(config.BuildOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -36,7 +36,7 @@ func main() {
 	for j := range pools {
 		pools[j] = []int{1, 1}
 	}
-	net := omega.NewTyped(nodes, pools, omega.WithSeed(7))
+	net := omega.NewTyped(nodes, pools)
 	fmt.Printf("heterogeneous pool: %d ports × {1 FFT, 1 MATINV}, status overhead %d bits/path (t·log₂N)\n",
 		nodes, net.StatusOverhead())
 

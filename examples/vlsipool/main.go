@@ -56,7 +56,7 @@ func main() {
 		fmt.Printf("%-22s", s)
 		for _, rho := range loads {
 			// A fresh network per run: sim.Run requires an idle network.
-			net, err := cfg.Build(config.BuildOptions{Seed: 11})
+			net, err := cfg.Build(config.BuildOptions{})
 			if err != nil {
 				log.Fatal(err)
 			}

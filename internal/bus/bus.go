@@ -5,12 +5,12 @@
 // Status information (the count of free resources) is broadcast on the
 // bus to every processor, so a processor attempts transmission exactly
 // when the bus is idle and at least one resource is free; an arbitrator
-// picks one winner when several processors contend (the arbitration
-// order is the engine's WakePolicy). The bus is held for the duration of
-// the task transmission; the resource is reserved at allocation time and
-// released only when service completes, matching the Markov model in
-// internal/markov (whose states never show a transmission in progress
-// with zero free resources).
+// picks one winner when several processors contend (the engine retries
+// blocked processors in ascending index order). The bus is held for the
+// duration of the task transmission; the resource is reserved at
+// allocation time and released only when service completes, matching
+// the Markov model in internal/markov (whose states never show a
+// transmission in progress with zero free resources).
 package bus
 
 import (

@@ -163,11 +163,15 @@ func (c Config) Validate() error {
 // TotalResources returns i·k·r, the system-wide resource count.
 func (c Config) TotalResources() int { return c.Networks * c.Outputs * c.PerPort }
 
-// BuildOptions tune the materialized networks.
+// BuildOptions tune the materialized networks. Build reads none of its
+// fields: the network is a pure function of the configuration.
 type BuildOptions struct {
-	Seed       uint64           // seed for randomized policies
-	LanePolicy omega.LanePolicy // Omega lane preference
-	NoReroute  bool             // disable Omega in-network rerouting
+	// Seed is ignored: no network draws random numbers.
+	//
+	// Deprecated: leave it unset. The benchmark module
+	// (_rsinbench/big4096.go, paper16.go and decor_test.go) still sets
+	// it; it goes when the benchmark is next reworked.
+	Seed uint64
 }
 
 // Build materializes the configuration as a core.Network.
@@ -175,34 +179,26 @@ func (c Config) Build(opt BuildOptions) (core.Network, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	mk := func(idx int) core.Network {
+	mk := func() core.Network {
 		switch c.Type {
 		case SBUS:
 			return bus.New(c.Inputs, c.PerPort)
 		case XBAR:
 			return crossbar.New(c.Inputs, c.Outputs, c.PerPort)
-		case OMEGA, CUBE:
-			opts := []omega.Option{
-				omega.WithLanePolicy(opt.LanePolicy),
-				omega.WithSeed(opt.Seed + uint64(idx)*0x9e3779b9),
-			}
-			if c.Type == CUBE {
-				opts = append(opts, omega.WithWiring(omega.CubeWiring))
-			}
-			if opt.NoReroute {
-				opts = append(opts, omega.WithoutReroute())
-			}
-			return omega.New(c.Inputs, c.PerPort, opts...)
+		case OMEGA:
+			return omega.New(c.Inputs, c.PerPort)
+		case CUBE:
+			return omega.NewCube(c.Inputs, c.PerPort)
 		default:
 			panic("config: unreachable network type")
 		}
 	}
 	if c.Networks == 1 {
-		return mk(0), nil
+		return mk(), nil
 	}
 	subs := make([]core.Network, c.Networks)
 	for i := range subs {
-		subs[i] = mk(i)
+		subs[i] = mk()
 	}
 	return core.NewPartitioned(subs), nil
 }

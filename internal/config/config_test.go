@@ -1,8 +1,11 @@
 package config
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+
+	"rsin/internal/sim"
 )
 
 // mustParse parses a configuration string, failing the test on error.
@@ -175,6 +178,38 @@ func TestBuildFunctional(t *testing.T) {
 		}
 		net.ReleasePath(g)
 		net.ReleaseResource(g)
+	}
+}
+
+// TestBuildIgnoresSeed pins BuildOptions.Seed's deprecation: Build is
+// a pure function of the configuration, so two builds that differ only
+// in the seed run the same simulation to the same Result, telemetry and
+// detail counters included.
+func TestBuildIgnoresSeed(t *testing.T) {
+	for _, s := range []string{
+		"16/16x1x1 SBUS/2",
+		"16/4x4x4 XBAR/2",
+		"16/1x16x16 OMEGA/2",
+		"16/4x4x4 OMEGA/2",
+		"16/1x16x16 CUBE/2",
+	} {
+		c := mustParse(t, s)
+		var res [2]sim.Result
+		for i := range res {
+			net, err := c.Build(BuildOptions{Seed: uint64(i + 1)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res[i], err = sim.Run(net, sim.Config{
+				Lambda: 0.15, MuN: 1, MuS: 0.1, Seed: 5, Warmup: 100, Samples: 5000,
+			})
+			if err != nil {
+				t.Fatalf("%s: %v", s, err)
+			}
+		}
+		if !reflect.DeepEqual(res[0], res[1]) {
+			t.Errorf("%s: Seed 1 and Seed 2 builds ran differently:\n%+v\n%+v", s, res[0], res[1])
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"rsin/internal/config"
 	"rsin/internal/runner"
 	"rsin/internal/workload"
 )
@@ -47,7 +46,7 @@ func FigCompare(ratio float64, rhos []float64, q Quality) (Figure, error) {
 	if err != nil {
 		return Figure{}, err
 	}
-	set, err := simSeriesSet(cfgs, muN, muS, rhos, q, config.BuildOptions{}, 1)
+	set, err := simSeriesSet(cfgs, muN, muS, rhos, q, 1)
 	if err != nil {
 		return Figure{}, err
 	}

@@ -50,7 +50,7 @@ func TestSimulatorMatchesMarkovChain(t *testing.T) {
 				if err != nil {
 					return cell{err: fmt.Errorf("markov at rho=%g: %w", rhos[i], err)}
 				}
-				net, err := cfg.Build(config.BuildOptions{Seed: runner.DeriveSeed(seed, i, 1)})
+				net, err := cfg.Build(config.BuildOptions{})
 				if err != nil {
 					return cell{err: fmt.Errorf("build at rho=%g: %w", rhos[i], err)}
 				}

@@ -265,8 +265,8 @@ func (f Figure) FindSeries(label string) *Series {
 // grid and returns its normalized-delay series. Points where the run
 // saturates are marked. It is the single-configuration form of
 // simSeriesSet and shares its seed-derivation scheme.
-func simSeries(cfg config.Config, muN, muS float64, rhos []float64, q Quality, opt config.BuildOptions, series int) (Series, error) {
-	set, err := simSeriesSet([]config.Config{cfg}, muN, muS, rhos, q, opt, series)
+func simSeries(cfg config.Config, muN, muS float64, rhos []float64, q Quality, series int) (Series, error) {
+	set, err := simSeriesSet([]config.Config{cfg}, muN, muS, rhos, q, series)
 	if err != nil {
 		return Series{}, err
 	}
@@ -276,16 +276,16 @@ func simSeries(cfg config.Config, muN, muS float64, rhos []float64, q Quality, o
 // simSeriesSet sweeps several configurations over the same ρ grid as
 // one flattened (configuration × point × replication) job set on the
 // parallel runner, so the points of every curve fill the worker pool
-// together. Each job's simulation and network-policy streams are
-// seeded from runner.DeriveSeed — per-series base, per-point, per-rep
-// — fixing the historical bug where every point of every curve reused
-// the identical base seed (fully correlated streams). Results are
-// collected by index: identical output for any worker count.
+// together. Each job's simulation stream is seeded from
+// runner.DeriveSeed — per-series base, per-point, per-rep — fixing the
+// historical bug where every point of every curve reused the identical
+// base seed (fully correlated streams). Results are collected by
+// index: identical output for any worker count.
 //
 // firstSeries is the series index of cfgs[0] within the enclosing
 // figure; it keys the per-series seed derivation, so a series keeps
 // its exact stream whether swept alone or as part of a set.
-func simSeriesSet(cfgs []config.Config, muN, muS float64, rhos []float64, q Quality, opt config.BuildOptions, firstSeries int) ([]Series, error) {
+func simSeriesSet(cfgs []config.Config, muN, muS float64, rhos []float64, q Quality, firstSeries int) ([]Series, error) {
 	pts := workload.Sweep(PlantProcessors, muN, muS, PlantResources, rhos)
 	reps := q.reps()
 	perCfg := len(pts) * reps
@@ -297,7 +297,7 @@ func simSeriesSet(cfgs []config.Config, muN, muS float64, rhos []float64, q Qual
 		c, rem := j/perCfg, j%perCfg
 		i, rep := rem/reps, rem%reps
 		base := runner.DeriveSeed(q.Seed, firstSeries+c, 0)
-		p, err := simPoint(cfgs[c], muN, muS, pts[i].Rho, pts[i].Lambda, q, opt, base, i, rep)
+		p, err := simPoint(cfgs[c], muN, muS, pts[i].Rho, pts[i].Lambda, q, base, i, rep)
 		return cell{p: p, err: err}
 	})
 	for _, cl := range run {
@@ -323,11 +323,12 @@ func simSeriesSet(cfgs []config.Config, muN, muS float64, rhos []float64, q Qual
 
 // simPoint measures one (point, replication) cell at abscissa x with
 // per-processor arrival rate lambda. The simulation stream uses rep
-// slot 2·rep and the network's internal policy stream 2·rep+1, so the
-// two never collide. With q.Shards > 0 the cell runs on the sharded
-// orchestrator instead, which derives every per-sub stream from the
-// cell's base simulation seed on the shard axis.
-func simPoint(cfg config.Config, muN, muS, x, lambda float64, q Quality, opt config.BuildOptions, base uint64, point, rep int) (Point, error) {
+// slot 2·rep; the odd slots once seeded the networks, which draw no
+// random numbers, and stay unused so every stream keeps its seed. With
+// q.Shards > 0 the cell runs on the sharded orchestrator instead, which
+// derives every per-sub stream from the cell's base simulation seed on
+// the shard axis.
+func simPoint(cfg config.Config, muN, muS, x, lambda float64, q Quality, base uint64, point, rep int) (Point, error) {
 	simCfg := sim.Config{
 		Lambda:  lambda,
 		MuN:     muN,
@@ -346,14 +347,12 @@ func simPoint(cfg config.Config, muN, muS, x, lambda float64, q Quality, opt con
 		// sharded run stays on one worker to avoid oversubscription.
 		res, err = shard.Run(shard.Config{
 			Net:     cfg,
-			Build:   opt,
 			Sim:     simCfg,
 			Shards:  q.Shards,
 			Workers: 1,
 		})
 	} else {
-		opt.Seed = runner.DeriveSeed(base, point, 2*rep+1)
-		net, berr := cfg.Build(opt)
+		net, berr := cfg.Build(config.BuildOptions{})
 		if berr != nil {
 			return Point{}, berr
 		}
@@ -413,7 +412,7 @@ func poolPoint(reps []Point) Point {
 // figures (series index 0).
 func Sweep(cfg config.Config, ratio float64, rhos []float64, q Quality) (Series, error) {
 	const muN = 1.0
-	return simSeries(cfg, muN, ratio*muN, rhos, q, config.BuildOptions{}, 0)
+	return simSeries(cfg, muN, ratio*muN, rhos, q, 0)
 }
 
 // parseConfigs parses a curve set of configuration strings.

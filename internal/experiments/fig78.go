@@ -36,7 +36,7 @@ func FigXBAR(id string, ratio float64, rhos []float64, q Quality) (Figure, error
 	if err != nil {
 		return Figure{}, err
 	}
-	fig.Series, err = simSeriesSet(cfgs, muN, muS, rhos, q, config.BuildOptions{}, 0)
+	fig.Series, err = simSeriesSet(cfgs, muN, muS, rhos, q, 0)
 	if err != nil {
 		return Figure{}, err
 	}

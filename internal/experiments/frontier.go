@@ -149,7 +149,7 @@ func frontierDelay(c config.Config, muN, muS, rho float64, q Quality, seed uint6
 		}
 		return res.NormalizedDelay, false, nil
 	}
-	net, err := c.Build(config.BuildOptions{Seed: runner.DeriveSeed(seed, 0, 1)})
+	net, err := c.Build(config.BuildOptions{})
 	if err != nil {
 		return 0, false, err
 	}

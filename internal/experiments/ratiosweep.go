@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"rsin/internal/config"
 	"rsin/internal/queueing"
 	"rsin/internal/runner"
 )
@@ -47,7 +46,7 @@ func FigRatioSweep(rho float64, ratios []float64, q Quality) (Figure, error) {
 		muS := ratios[ri] * muN
 		lambda := queueing.LambdaForIntensity(rho, PlantProcessors, muN, muS, PlantResources)
 		base := runner.DeriveSeed(q.Seed, c, 0)
-		p, err := simPoint(configs[c], muN, muS, ratios[ri], lambda, q, config.BuildOptions{}, base, ri, rep)
+		p, err := simPoint(configs[c], muN, muS, ratios[ri], lambda, q, base, ri, rep)
 		return cell{p: p, err: err}
 	})
 	for _, cl := range run {

@@ -80,7 +80,7 @@ func saturatedAt(cfg config.Config, muN, muS, rho float64, q Quality, probe int)
 		perBus := float64(cfg.Inputs) * lambda
 		return perBus >= markov.Capacity(muN, muS, cfg.PerPort), nil
 	}
-	net, err := cfg.Build(config.BuildOptions{Seed: runner.DeriveSeed(q.Seed, probe, 1)})
+	net, err := cfg.Build(config.BuildOptions{})
 	if err != nil {
 		return false, err
 	}

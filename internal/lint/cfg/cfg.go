@@ -540,24 +540,5 @@ func (t *DomTree) Idom(b *Block) *Block {
 	return d
 }
 
-// Dominates reports whether a dominates b (reflexively: a block
-// dominates itself). Unreachable blocks dominate nothing and are
-// dominated by nothing.
-func (t *DomTree) Dominates(a, b *Block) bool {
-	if t.idom[a] == nil || t.idom[b] == nil {
-		return false
-	}
-	for {
-		if a == b {
-			return true
-		}
-		next := t.idom[b]
-		if next == b {
-			return false // reached entry
-		}
-		b = next
-	}
-}
-
 // Reachable reports whether b is reachable from the entry block.
 func (t *DomTree) Reachable(b *Block) bool { return t.idom[b] != nil }

@@ -43,6 +43,17 @@ func blockOf(t *testing.T, fset *token.FileSet, g *Graph, src, marker string) (*
 	return blk, idx
 }
 
+// dominates reports whether a dominates b, reflexively, by walking b's
+// immediate dominators up to the entry block.
+func dominates(dt *DomTree, a, b *Block) bool {
+	for ; b != nil; b = dt.Idom(b) {
+		if b == a {
+			return true
+		}
+	}
+	return false
+}
+
 func TestBranchAndJoin(t *testing.T) {
 	src := `func f(a int) int {
 	x := 1
@@ -66,10 +77,10 @@ func TestBranchAndJoin(t *testing.T) {
 		t.Errorf("condition edges are not (true→then, false→else)")
 	}
 	dt := g.Dominators()
-	if !dt.Dominates(condBlk, retBlk) {
+	if !dominates(dt, condBlk, retBlk) {
 		t.Errorf("condition block should dominate the join")
 	}
-	if dt.Dominates(thenBlk, retBlk) || dt.Dominates(elseBlk, retBlk) {
+	if dominates(dt, thenBlk, retBlk) || dominates(dt, elseBlk, retBlk) {
 		t.Errorf("neither arm should dominate the join")
 	}
 	if len(retBlk.Succs) != 1 || retBlk.Succs[0] != g.Exit {
@@ -97,13 +108,13 @@ func TestShortCircuitLowering(t *testing.T) {
 		t.Errorf("left leaf's true edge should enter the right operand block")
 	}
 	dt := g.Dominators()
-	if !dt.Dominates(left, right) {
+	if !dominates(dt, left, right) {
 		t.Errorf("left operand should dominate right operand")
 	}
-	if !dt.Dominates(right, then) {
+	if !dominates(dt, right, then) {
 		t.Errorf("right operand should dominate the then block")
 	}
-	if dt.Dominates(right, left) {
+	if dominates(dt, right, left) {
 		t.Errorf("dominance the wrong way around")
 	}
 }
@@ -132,10 +143,10 @@ func TestLoop(t *testing.T) {
 		t.Errorf("post should loop back to the head")
 	}
 	dt := g.Dominators()
-	if !dt.Dominates(head, body) || !dt.Dominates(head, ret) {
+	if !dominates(dt, head, body) || !dominates(dt, head, ret) {
 		t.Errorf("loop head should dominate body and join")
 	}
-	if dt.Dominates(body, ret) {
+	if dominates(dt, body, ret) {
 		t.Errorf("loop body must not dominate the join (the loop may run zero times)")
 	}
 }
@@ -294,7 +305,7 @@ func TestSwitchClauses(t *testing.T) {
 			t.Errorf("%s body should be reachable", name)
 		}
 	}
-	if dt.Dominates(c1, c2) || dt.Dominates(c2, def) {
+	if dominates(dt, c1, c2) || dominates(dt, c2, def) {
 		t.Errorf("sibling case bodies must not dominate each other")
 	}
 }

@@ -89,10 +89,6 @@ func (in *Info) VarOf(id *ast.Ident) *types.Var {
 	return v
 }
 
-// IsNamedResult reports whether v is a named result parameter of the
-// analyzed function (implicitly read by a bare return).
-func (in *Info) IsNamedResult(v *types.Var) bool { return in.namedResults[v] }
-
 func (in *Info) addDef(d *Def) {
 	if d.Var == nil {
 		return

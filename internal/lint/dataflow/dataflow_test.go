@@ -242,10 +242,6 @@ func f() (n int) {
 	if kind != DeadNone {
 		t.Errorf("bare return reads named results; definition must be live, got %v", kind)
 	}
-	v := defOf(t, in, "n", 0).Var
-	if !in.IsNamedResult(v) {
-		t.Errorf("n should be recognized as a named result")
-	}
 }
 
 func TestRangeHeadDefines(t *testing.T) {

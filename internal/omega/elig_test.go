@@ -50,15 +50,16 @@ func telDelta(after, before core.Telemetry) core.Telemetry {
 type walkShape struct {
 	n, perPort int
 	wiring     Wiring
-	random     bool // LaneRandom instead of LaneUpperFirst
 	typed      bool // substrate of a bound TypedOmega whose acquires join the mix
 	noReroute  bool
 }
 
-// header encodes the shape as the three bytes decodeShape reads.
+// header encodes the shape as the three bytes decodeShape reads. Flag
+// bit 1 is unused: it once selected random lanes, and inputs that set
+// it still decode.
 func (s walkShape) header() []byte {
 	var flags byte
-	for i, on := range []bool{s.wiring == CubeWiring, s.random, s.typed, s.noReroute} {
+	for i, on := range []bool{s.wiring == CubeWiring, false, s.typed, s.noReroute} {
 		if on {
 			flags |= 1 << i
 		}
@@ -72,7 +73,6 @@ func decodeShape(b []byte) walkShape {
 	s := walkShape{
 		n:         2 << (b[0] % 6),
 		perPort:   1 + int(b[1]%2),
-		random:    b[2]&2 != 0,
 		typed:     b[2]&4 != 0,
 		noReroute: b[2]&8 != 0,
 	}
@@ -83,8 +83,8 @@ func decodeShape(b []byte) walkShape {
 }
 
 func (s walkShape) String() string {
-	return fmt.Sprintf("%s-%dx%d-r%d-random=%v-typed=%v-noReroute=%v",
-		s.wiring, s.n, s.n, s.perPort, s.random, s.typed, s.noReroute)
+	return fmt.Sprintf("%s-%dx%d-r%d-typed=%v-noReroute=%v",
+		s.wiring, s.n, s.n, s.perPort, s.typed, s.noReroute)
 }
 
 // heldGrant is an outstanding grant and the network that issued it.
@@ -108,10 +108,7 @@ type eligWalk struct {
 }
 
 func newEligWalk(t testing.TB, s walkShape) *eligWalk {
-	opts := []Option{WithWiring(s.wiring), WithSeed(uint64(s.n*8 + s.perPort))}
-	if s.random {
-		opts = append(opts, WithLanePolicy(LaneRandom))
-	}
+	opts := []Option{WithWiring(s.wiring)}
 	if s.noReroute {
 		opts = append(opts, WithoutReroute())
 	}
@@ -337,8 +334,8 @@ func take(hs *[]heldGrant, x int) heldGrant {
 
 // walkShapes are the random walk's networks and the fuzz target's seed
 // shapes: N = 2, 16 and 64 (64 fills the whole register), both wirings
-// and one or two resources per port, each upper-first, with random
-// lanes on a typed substrate, and without reroute.
+// and one or two resources per port, each plain, as a typed substrate,
+// and without reroute.
 func walkShapes() []walkShape {
 	var shapes []walkShape
 	for _, n := range []int{2, 16, 64} {
@@ -346,9 +343,9 @@ func walkShapes() []walkShape {
 			for _, perPort := range []int{1, 2} {
 				s := walkShape{n: n, perPort: perPort, wiring: wiring}
 				shapes = append(shapes, s)
-				s.random, s.typed = true, true
+				s.typed = true
 				shapes = append(shapes, s)
-				s.random, s.typed, s.noReroute = false, false, true
+				s.typed, s.noReroute = false, true
 				shapes = append(shapes, s)
 			}
 		}

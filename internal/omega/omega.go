@@ -40,34 +40,7 @@ import (
 
 	"rsin/internal/core"
 	"rsin/internal/invariant"
-	"rsin/internal/rng"
 )
-
-// LanePolicy selects the order in which a box offers its output lanes
-// to a request when both lanes qualify.
-type LanePolicy int
-
-const (
-	// LaneUpperFirst always tries the lower-indexed output wire first —
-	// a deterministic hardware priority.
-	LaneUpperFirst LanePolicy = iota
-	// LaneRandom picks the first lane uniformly at random, the
-	// randomized variant the paper suggests for avoiding undue conflict
-	// when synchronized requests enter together.
-	LaneRandom
-)
-
-// String returns the policy name.
-func (p LanePolicy) String() string {
-	switch p {
-	case LaneUpperFirst:
-		return "upper-first"
-	case LaneRandom:
-		return "random"
-	default:
-		return fmt.Sprintf("LanePolicy(%d)", int(p))
-	}
-}
 
 // Wiring selects the multistage interconnection pattern.
 type Wiring int
@@ -100,10 +73,8 @@ type Omega struct {
 	n       int // log2(N)
 	size    int // N
 	perPort int
-	policy  LanePolicy
 	wiring  Wiring
-	rnd     *rng.Source // used only by LaneRandom
-	reroute bool        // backtracking reroute enabled (ablation: off = reject to source)
+	reroute bool // backtracking reroute enabled (ablation: off = reject to source)
 	// rot is the wiring ahead of every stage as a left rotation of the
 	// n-bit wire index: 1 (the perfect shuffle) for OmegaWiring, 0
 	// (straight through) for CubeWiring.
@@ -153,15 +124,10 @@ type stage struct {
 // Option configures a network.
 type Option func(*Omega)
 
-// WithLanePolicy sets the lane-preference policy (default LaneUpperFirst).
-func WithLanePolicy(p LanePolicy) Option { return func(o *Omega) { o.policy = p } }
-
-// WithSeed seeds the internal generator used by LaneRandom.
-func WithSeed(seed uint64) Option { return func(o *Omega) { o.rnd = rng.New(seed) } }
-
 // WithoutReroute disables in-network rerouting: a rejected request
 // fails immediately instead of backtracking to try alternate paths.
-// Used by the reroute-policy ablation.
+// Used by the blocking figure's no-reroute curve and the reroute-policy
+// ablation.
 func WithoutReroute() Option { return func(o *Omega) { o.reroute = false } }
 
 // WithWiring selects the interconnection pattern (default OmegaWiring).
@@ -187,9 +153,7 @@ func New(n, perPort int, opts ...Option) *Omega {
 		n:        stages,
 		size:     n,
 		perPort:  perPort,
-		policy:   LaneUpperFirst,
 		wiring:   OmegaWiring,
-		rnd:      rng.New(0x0177e6a5),
 		reroute:  true,
 		portBusy: make([]bool, n),
 		free:     make([]int, n),
@@ -366,13 +330,11 @@ func (o *Omega) route(pid int, avail uint64, tel *core.Telemetry, byStage []int6
 	s, pos := 0, o.shuffle(pid)
 	for {
 		// The request enters the stage-s box on input wire pos; its
-		// lanes are first and first^pair, tried in that order (k).
+		// lanes are first and first^pair, tried in that order (k): the
+		// lower-indexed output wire first, a fixed hardware priority.
 		tel.BoxVisits++
 		st := &o.stages[s]
 		first, k := pos&^st.pair, 0
-		if o.policy == LaneRandom && o.rnd.Intn(2) == 1 {
-			first |= st.pair
-		}
 		for {
 			for ; k < 2; k++ {
 				if w := first ^ k*st.pair; o.occ[s]&(1<<uint(w)) == 0 && o.reaches(s, w, avail) {

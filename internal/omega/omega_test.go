@@ -322,15 +322,6 @@ func TestResetClearsState(t *testing.T) {
 	}
 }
 
-func TestLanePolicyString(t *testing.T) {
-	if LaneUpperFirst.String() != "upper-first" || LaneRandom.String() != "random" {
-		t.Error("lane policy strings wrong")
-	}
-	if LanePolicy(9).String() == "" {
-		t.Error("unknown lane policy should format")
-	}
-}
-
 func TestTopologyAccessors(t *testing.T) {
 	o := New(8, 1)
 	if o.EntryWire(3) != o.shuffle(3) {
@@ -352,23 +343,6 @@ func TestTopologyAccessors(t *testing.T) {
 	g, _ := o.Acquire(0)
 	if !o.WireOccupied(o.Stages()-1, g.Port) {
 		t.Error("granted path's final wire not occupied")
-	}
-}
-
-func TestLaneRandomPolicy(t *testing.T) {
-	// LaneRandom still grants everything on an idle network and spreads
-	// across ports.
-	o := New(8, 2, WithLanePolicy(LaneRandom), WithSeed(99))
-	ports := map[int]bool{}
-	for pid := 0; pid < 8; pid++ {
-		g, ok := o.Acquire(pid)
-		if !ok {
-			t.Fatalf("random-lane acquire %d failed", pid)
-		}
-		ports[g.Port] = true
-	}
-	if len(ports) < 4 {
-		t.Errorf("random lanes hit only %d distinct ports", len(ports))
 	}
 }
 

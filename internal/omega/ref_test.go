@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"rsin/internal/core"
-	"rsin/internal/rng"
 )
 
 // refWiring is the wiring as the package documents it, written apart
@@ -63,7 +62,7 @@ func circuitWires(o *Omega, j int) []int {
 // wire occupancy as a [stage][wire] grid, every box's availability bit
 // recomputed from port state or read from a phase-1 snapshot, and a
 // recursive depth-first search. It works on copies of the network's
-// state and lane generator, so the network is left untouched.
+// state, so the network is left untouched.
 type refNet struct {
 	o     *Omega
 	wr    refWiring
@@ -71,7 +70,6 @@ type refNet struct {
 	occ   [][]bool
 	busy  []bool
 	free  []int
-	lanes rng.Source
 }
 
 func newRefNet(o *Omega) *refNet {
@@ -82,7 +80,6 @@ func newRefNet(o *Omega) *refNet {
 		occ:   make([][]bool, o.n),
 		busy:  append([]bool(nil), o.portBusy...),
 		free:  append([]int(nil), o.free...),
-		lanes: *o.rnd,
 	}
 	for s := range r.occ {
 		r.occ[s] = make([]bool, o.size)
@@ -172,12 +169,7 @@ func (r *refNet) acquire(pid int, snap [][]bool) refRoute {
 		if outs[0] > outs[1] {
 			outs[0], outs[1] = outs[1], outs[0]
 		}
-		first := 0
-		if o.policy == LaneRandom {
-			first = r.lanes.Intn(2)
-		}
-		for k := 0; k < 2; k++ {
-			out := outs[first^k]
+		for _, out := range outs {
 			if r.occ[s][out] || s == last && !r.eligible(out) || s < last && !avail(s, out) {
 				continue
 			}

@@ -129,22 +129,12 @@ func (s *Source) Norm() float64 {
 // Perm returns a random permutation of [0, n) using Fisher–Yates.
 func (s *Source) Perm(n int) []int {
 	p := make([]int, n)
-	s.PermInto(p)
-	return p
-}
-
-// PermInto fills dst with a random permutation of [0, len(dst)). It
-// consumes exactly the same variates as Perm(len(dst)) — callers on hot
-// paths (the simulator's WakeRandom policy) reuse one scratch slice
-// across calls without perturbing the stream.
-//
-//lint:hotpath
-func (s *Source) PermInto(dst []int) {
-	for i := range dst {
-		dst[i] = i
+	for i := range p {
+		p[i] = i
 	}
-	for i := len(dst) - 1; i > 0; i-- {
+	for i := n - 1; i > 0; i-- {
 		j := s.Intn(i + 1)
-		dst[i], dst[j] = dst[j], dst[i]
+		p[i], p[j] = p[j], p[i]
 	}
+	return p
 }

@@ -146,10 +146,13 @@ func splitmix(z uint64) uint64 {
 // point and every replication gets its own random stream instead of
 // all points replaying the identical stream from a shared base seed.
 //
-// The rep axis is also used to separate the *purposes* a single job
-// needs randomness for (e.g. even reps for the simulation stream, odd
-// reps for the network's internal policy stream), not only literal
-// replications.
+// The rep axis can also separate the *purposes* a single job needs
+// randomness for, not only literal replications: the figure sweeps and
+// rsinsim seed replication r's simulation from slot 2r, and the
+// saturation search and the frontier seed theirs from slot 0 of their
+// own bases. The odd slots once seeded the networks, which draw no
+// random numbers; they stay unused so every simulation keeps its
+// stream.
 func DeriveSeed(base uint64, point, rep int) uint64 {
 	z := splitmix(base)
 	z = splitmix(z ^ (uint64(int64(point)) + 0x9e3779b97f4a7c15))
@@ -162,9 +165,8 @@ func DeriveSeed(base uint64, point, rep int) uint64 {
 // internal/shard to give every sub-network of one sharded run its own
 // decorrelated stream: the chain is salted with a distinct constant so
 // shard streams never collide with any (point, rep) stream DeriveSeed
-// can produce from the same base. The rep axis separates purposes
-// within one shard (rep 0: simulation stream, rep 1: network build
-// stream), mirroring the DeriveSeed convention.
+// can produce from the same base. A sub-network's simulation stream is
+// rep 0; no other purpose draws from the shard axis.
 func DeriveShardSeed(base uint64, shard, rep int) uint64 {
 	z := splitmix(base ^ 0x94d049bb133111eb)
 	z = splitmix(z ^ (uint64(int64(shard)) + 0x9e3779b97f4a7c15))

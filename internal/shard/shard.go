@@ -10,7 +10,7 @@
 //
 // The decomposition unit is always one sub-network — the finest grain
 // the model admits. Sub-network s draws its randomness from
-// runner.DeriveShardSeed(Sim.Seed, s, ·), a stream keyed only by the
+// runner.DeriveShardSeed(Sim.Seed, s, 0), a stream keyed only by the
 // base seed and s, and receives a fixed whole-batch sample quota — so
 // its Result is a pure function of the configuration and s.
 //
@@ -59,11 +59,6 @@ type Config struct {
 	// Net is the full partitioned system description; Net.Networks is
 	// the number of independent sub-networks (the decomposition units).
 	Net config.Config
-
-	// Build tunes the materialized sub-networks. Build.Seed is ignored:
-	// every sub-network's internal policy stream is derived from
-	// Sim.Seed on the shard axis (rep 1).
-	Build config.BuildOptions
 
 	// Sim is the template simulation config. Seed is the base of every
 	// derived stream; Samples is the system-wide sample target, split
@@ -192,7 +187,7 @@ func BuildPlan(cfg Config) (Plan, error) {
 }
 
 // subConfig derives sub-network s's simulation config from the
-// template: shard-axis seed (rep 0 for the simulation stream), the
+// template: shard-axis seed (rep 0, the sub's only stream), the
 // whole-batch sample quota, the sub's slice of any per-processor rates,
 // and accumulator export for the merge.
 func subConfig(cfg Config, plan Plan, s int, probe obs.Probe) sim.Config {
@@ -244,9 +239,7 @@ func RunSubs(cfg Config) (Plan, []sim.Result, error) {
 		lo, hi := plan.Groups[g][0], plan.Groups[g][1]
 		outs := make([]subOut, 0, hi-lo)
 		for s := lo; s < hi; s++ {
-			bopt := cfg.Build
-			bopt.Seed = runner.DeriveShardSeed(cfg.Sim.Seed, s, 1)
-			net, err := plan.SubNet.Build(bopt)
+			net, err := plan.SubNet.Build(config.BuildOptions{})
 			if err != nil {
 				outs = append(outs, subOut{err: err})
 				continue

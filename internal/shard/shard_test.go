@@ -11,7 +11,6 @@ import (
 	"rsin/internal/core"
 	"rsin/internal/obs"
 	"rsin/internal/queueing"
-	"rsin/internal/runner"
 	"rsin/internal/sim"
 )
 
@@ -124,14 +123,11 @@ func TestSubSeedsDecorrelated(t *testing.T) {
 	}
 	seen := map[uint64]bool{cfg.Sim.Seed: true}
 	for s := 0; s < plan.Subs; s++ {
-		simSeed := subConfig(cfg, plan, s, nil).Seed
-		buildSeed := runner.DeriveShardSeed(cfg.Sim.Seed, s, 1)
-		for _, seed := range []uint64{simSeed, buildSeed} {
-			if seen[seed] {
-				t.Fatalf("sub %d reuses seed %d", s, seed)
-			}
-			seen[seed] = true
+		seed := subConfig(cfg, plan, s, nil).Seed
+		if seen[seed] {
+			t.Fatalf("sub %d reuses seed %d", s, seed)
 		}
+		seen[seed] = true
 	}
 }
 

@@ -206,66 +206,64 @@ func TestPeersOnlyWakeMatchesFullRescan(t *testing.T) {
 	rows = append(rows, row{"golden-p256", goldenNet, goldenConfig()})
 	for _, r := range rows {
 		_, partitioned := r.mk().(*core.Partitioned)
-		for _, pol := range []WakePolicy{WakeIndexOrder, WakeRandom, WakeRoundRobin} {
-			t.Run(r.name+"/"+pol.String(), func(t *testing.T) {
-				if r.mk().Processors() > 16 {
-					invariant.Enable(false)
-					defer invariant.Enable(true)
+		t.Run(r.name, func(t *testing.T) {
+			if r.mk().Processors() > 16 {
+				invariant.Enable(false)
+				defer invariant.Enable(true)
+			}
+			render := func(oracle bool) (Result, []string) {
+				tr := obs.NewTrace()
+				cfg := r.cfg
+				cfg.CollectDelays, cfg.Probe = true, tr
+				var (
+					res Result
+					err error
+				)
+				if oracle {
+					res, err = runOracle(r.mk(), cfg, false, false)
+				} else {
+					res, err = Run(r.mk(), cfg)
 				}
-				render := func(oracle bool) (Result, []string) {
-					tr := obs.NewTrace()
-					cfg := r.cfg
-					cfg.WakePolicy, cfg.CollectDelays, cfg.Probe = pol, true, tr
-					var (
-						res Result
-						err error
-					)
-					if oracle {
-						res, err = runOracle(r.mk(), cfg, false, false)
-					} else {
-						res, err = Run(r.mk(), cfg)
-					}
-					if err != nil {
-						t.Fatal(err)
-					}
-					var buf bytes.Buffer
-					if err := obs.WriteTraces(&buf, tr); err != nil {
-						t.Fatal(err)
-					}
-					lines := strings.Split(buf.String(), "\n")
-					for i, l := range lines {
-						lines[i] = strings.TrimSuffix(l, ",") // the last event has no separator
-					}
-					return res, lines
+				if err != nil {
+					t.Fatal(err)
 				}
-				wantRes, wantTrace := render(true)
-				gotRes, gotTrace := render(false)
-				if partitioned {
-					wantRes.Telemetry, wantRes.Details = core.Telemetry{}, nil
-					gotRes.Telemetry, gotRes.Details = core.Telemetry{}, nil
+				var buf bytes.Buffer
+				if err := obs.WriteTraces(&buf, tr); err != nil {
+					t.Fatal(err)
 				}
-				if w, g := fmt.Sprintf("%+v", wantRes), fmt.Sprintf("%+v", gotRes); w != g {
-					t.Errorf("Result diverged from the unfiltered oracle:\noracle %.400s\ngot    %.400s", w, g)
+				lines := strings.Split(buf.String(), "\n")
+				for i, l := range lines {
+					lines[i] = strings.TrimSuffix(l, ",") // the last event has no separator
 				}
-				// Match the traces greedily; every oracle line left over
-				// must be a reject instant, and only when partitioned.
-				i, dropped := 0, 0
-				for _, l := range wantTrace {
-					if i < len(gotTrace) && gotTrace[i] == l {
-						i++
-						continue
-					}
-					if !partitioned || !strings.HasPrefix(l, `{"name":"reject",`) {
-						t.Fatalf("oracle trace line %q missing from Run's trace (after %d matched lines)", l, i)
-					}
-					dropped++
+				return res, lines
+			}
+			wantRes, wantTrace := render(true)
+			gotRes, gotTrace := render(false)
+			if partitioned {
+				wantRes.Telemetry, wantRes.Details = core.Telemetry{}, nil
+				gotRes.Telemetry, gotRes.Details = core.Telemetry{}, nil
+			}
+			if w, g := fmt.Sprintf("%+v", wantRes), fmt.Sprintf("%+v", gotRes); w != g {
+				t.Errorf("Result diverged from the unfiltered oracle:\noracle %.400s\ngot    %.400s", w, g)
+			}
+			// Match the traces greedily; every oracle line left over
+			// must be a reject instant, and only when partitioned.
+			i, dropped := 0, 0
+			for _, l := range wantTrace {
+				if i < len(gotTrace) && gotTrace[i] == l {
+					i++
+					continue
 				}
-				if i != len(gotTrace) {
-					t.Fatalf("Run's trace has %d lines the oracle's lacks, from %q", len(gotTrace)-i, gotTrace[i])
+				if !partitioned || !strings.HasPrefix(l, `{"name":"reject",`) {
+					t.Fatalf("oracle trace line %q missing from Run's trace (after %d matched lines)", l, i)
 				}
-				t.Logf("%d trace lines, %d oracle reject instants dropped", len(gotTrace), dropped)
-			})
-		}
+				dropped++
+			}
+			if i != len(gotTrace) {
+				t.Fatalf("Run's trace has %d lines the oracle's lacks, from %q", len(gotTrace)-i, gotTrace[i])
+			}
+			t.Logf("%d trace lines, %d oracle reject instants dropped", len(gotTrace), dropped)
+		})
 	}
 }
 

@@ -22,7 +22,7 @@ import (
 //
 // Do not modify this copy when changing sim.go; it is the oracle, and
 // drifting it would hollow out the proof. It always uses the binary
-// heap. Six edits have been made since it was frozen. Two sit behind
+// heap. Seven edits have been made since it was frozen. Two sit behind
 // a parameter that restores the original when false: the legacy wake
 // selector, and the peersOnly filter, with which both wake paths skip
 // every processor outside the released grant's core.Peers range. The
@@ -36,7 +36,11 @@ import (
 // from its lint directives, when the kernel began reading its grant
 // records in place: the oracle is take's only caller. The sixth
 // passes the waiter scan its new upper bound p, the whole set, which
-// is where the one-argument scan it was frozen with stopped.
+// is where the one-argument scan it was frozen with stopped. The
+// seventh deleted the wake policies and the retry jitter when the
+// kernel dropped them: the round-robin and random orders, the jittered
+// retry events and their retryPend flags, in both modes. Both modes
+// retry in ascending index order, the one order the kernel has.
 
 // oracleEvent is the frozen kernel's 40-byte event record.
 type oracleEvent struct {
@@ -156,10 +160,6 @@ func runOracle(net core.Network, cfg Config, legacy, peersOnly bool) (res Result
 	grants := newGrantTable()
 
 	blocked := newWaiterSet(p)
-	var wakeScratch []int
-	if cfg.WakePolicy == WakeRandom && !legacy {
-		wakeScratch = make([]int, p)
-	}
 
 	var (
 		h         oracleHeap
@@ -174,8 +174,6 @@ func runOracle(net core.Network, cfg Config, legacy, peersOnly bool) (res Result
 		totalQ    int
 		busyPorts int
 		warmedUp  bool
-		rrStart   int
-		retryPend = make([]bool, p)
 
 		arrivedTotal int64
 		servedTotal  int64
@@ -285,44 +283,11 @@ func runOracle(net core.Network, cfg Config, legacy, peersOnly bool) (res Result
 	outside := func(pid int) bool { return pid < wakeLo || pid >= wakeHi }
 
 	wakeLegacy := func() {
-		if cfg.RetryJitter > 0 {
+		for progress := true; progress; {
+			progress = false
 			for pid := 0; pid < p; pid++ {
-				ps := &procs[pid]
-				if outside(pid) || retryPend[pid] || ps.transmitting || len(ps.queue) == 0 {
-					continue
-				}
-				retryPend[pid] = true
-				schedule(oracleEvent{time: now + src.Exp(1/cfg.RetryJitter), kind: evRetry, pid: pid})
-			}
-			return
-		}
-		switch cfg.WakePolicy {
-		case WakeIndexOrder:
-			for progress := true; progress; {
-				progress = false
-				for pid := 0; pid < p; pid++ {
-					if !outside(pid) && tryStart(pid) {
-						progress = true
-					}
-				}
-			}
-		case WakeRoundRobin:
-			rrStart = (rrStart + 1) % p
-			for progress := true; progress; {
-				progress = false
-				for i := 0; i < p; i++ {
-					if pid := (rrStart + i) % p; !outside(pid) && tryStart(pid) {
-						progress = true
-					}
-				}
-			}
-		case WakeRandom:
-			for progress := true; progress; {
-				progress = false
-				for _, pid := range src.Perm(p) {
-					if !outside(pid) && tryStart(pid) {
-						progress = true
-					}
+				if !outside(pid) && tryStart(pid) {
+					progress = true
 				}
 			}
 		}
@@ -333,49 +298,11 @@ func runOracle(net core.Network, cfg Config, legacy, peersOnly bool) (res Result
 			wakeLegacy()
 			return
 		}
-		if cfg.RetryJitter > 0 {
+		for progress := true; progress; {
+			progress = false
 			for pid := blocked.next(0, p); pid != -1; pid = blocked.next(pid+1, p) {
-				if outside(pid) || retryPend[pid] {
-					continue
-				}
-				retryPend[pid] = true
-				schedule(oracleEvent{time: now + src.Exp(1/cfg.RetryJitter), kind: evRetry, pid: pid})
-			}
-			return
-		}
-		switch cfg.WakePolicy {
-		case WakeIndexOrder:
-			for progress := true; progress; {
-				progress = false
-				for pid := blocked.next(0, p); pid != -1; pid = blocked.next(pid+1, p) {
-					if !outside(pid) && tryStart(pid) {
-						progress = true
-					}
-				}
-			}
-		case WakeRoundRobin:
-			rrStart = (rrStart + 1) % p
-			for progress := true; progress; {
-				progress = false
-				for pid := blocked.next(rrStart, p); pid != -1; pid = blocked.next(pid+1, p) {
-					if !outside(pid) && tryStart(pid) {
-						progress = true
-					}
-				}
-				for pid := blocked.next(0, p); pid != -1 && pid < rrStart; pid = blocked.next(pid+1, p) {
-					if !outside(pid) && tryStart(pid) {
-						progress = true
-					}
-				}
-			}
-		case WakeRandom:
-			for progress := true; progress; {
-				progress = false
-				src.PermInto(wakeScratch)
-				for _, pid := range wakeScratch {
-					if !outside(pid) && blocked.contains(pid) && tryStart(pid) {
-						progress = true
-					}
+				if !outside(pid) && tryStart(pid) {
+					progress = true
 				}
 			}
 		}
@@ -445,9 +372,6 @@ func runOracle(net core.Network, cfg Config, legacy, peersOnly bool) (res Result
 				probe.Event(obs.Event{T: now, Kind: obs.KindRelease, Pid: s.g.Processor, Port: s.g.Port, Dur: now - s.txDone})
 			}
 			wake()
-		case evRetry:
-			retryPend[e.pid] = false
-			tryStart(e.pid)
 		}
 		if invariant.Enabled() {
 			if verr := oracleBlockedInvariant(procs, blocked); verr != nil {

@@ -30,39 +30,6 @@ import (
 	"rsin/internal/stats"
 )
 
-// WakePolicy selects the order in which blocked processors re-attempt
-// allocation after a release. The paper's crossbar cell design is
-// inherently asymmetric (low-index processors win the wavefront); the
-// POLYP-style token alternative randomizes the winner. The policies are
-// compared in an ablation benchmark.
-type WakePolicy int
-
-const (
-	// WakeIndexOrder retries processors in ascending index order — the
-	// asymmetric priority of the paper's distributed crossbar cells.
-	WakeIndexOrder WakePolicy = iota
-	// WakeRandom retries processors in a fresh random order each time —
-	// the POLYP-style circulating-token discipline.
-	WakeRandom
-	// WakeRoundRobin rotates the starting processor on every release,
-	// a fair hardware-friendly compromise.
-	WakeRoundRobin
-)
-
-// String returns the policy name.
-func (w WakePolicy) String() string {
-	switch w {
-	case WakeIndexOrder:
-		return "index-order"
-	case WakeRandom:
-		return "random"
-	case WakeRoundRobin:
-		return "round-robin"
-	default:
-		return fmt.Sprintf("WakePolicy(%d)", int(w))
-	}
-}
-
 // Config parameterizes one simulation run.
 type Config struct {
 	Lambda  float64   // per-processor arrival rate λ
@@ -78,16 +45,7 @@ type Config struct {
 	// aborts with ErrSaturated as soon as a queue reaches MaxQueue tasks
 	// (default 2^20). In practice the cap fires only when the offered
 	// load exceeds the configuration's capacity.
-	MaxQueue   int
-	WakePolicy WakePolicy // retry ordering after releases
-
-	// RetryJitter, when positive, is the mean of an exponential random
-	// delay inserted before a blocked processor re-attempts allocation
-	// after new status information arrives — the paper's Section V
-	// suggestion for de-synchronizing the simultaneous retries caused
-	// by clocked status broadcasts. Zero (the default) retries
-	// immediately at the release instant.
-	RetryJitter float64
+	MaxQueue int
 
 	// CollectDelays, when set, stores every post-warmup delay sample in
 	// Result.Delays (Samples values). The differential tests compare
@@ -165,7 +123,7 @@ var ErrSaturated = errors.New("sim: queue exceeded MaxQueue; system appears satu
 // pre-refactor kernel (runOracle).
 //
 // Run rejects a network with more than math.MaxInt32 processors or
-// resources, which keeps the timer slots (two per processor plus one
+// resources, which keeps the timer slots (one per processor plus one
 // per outstanding grant, and outstanding grants never exceed the
 // resource count) far inside an int.
 func Run(net core.Network, cfg Config) (res Result, err error) {
@@ -245,21 +203,18 @@ type kernel struct {
 	net    core.Network
 	cfg    Config
 	rates  []float64 // per-processor arrival rates
-	p      int       // processor count
+	p      int       // processor count, and grant-table index 0's timer slot
 	src    *rng.Source
 	q      timerTree
 	seq    uint64 // events scheduled so far: the FIFO tie-breaker
 	now    float64
 	pt     *procTable
 	grants *grantTable
-	gbase  int // timer slot of grant-table index 0: p, or 2p with RetryJitter
 
-	// Incremental wake engine state. blocked tracks exactly the
-	// processors that are idle with a nonempty queue — the ones whose
-	// last allocation attempt failed and that a release could unblock.
-	blocked     *waiterSet
-	wakeScratch []int // WakeRandom's permutation buffer
-	rrStart     int   // WakeRoundRobin's rotating first processor
+	// blocked tracks exactly the processors that are idle with a
+	// nonempty queue — the ones whose last allocation attempt failed and
+	// that a release could unblock.
+	blocked *waiterSet
 
 	// headSince[pid] is the simulated time pid's current head-of-queue
 	// task became eligible to transmit: the first instant the engine
@@ -293,30 +248,22 @@ type kernel struct {
 // about 5% slower (medians of 24 alternating runs, Intel Xeon 2-vCPU).
 func newKernel(net core.Network, cfg Config, rates []float64) kernel {
 	p := net.Processors()
-	// Timer slots: one arrival per processor, one retry per processor
-	// with RetryJitter, then one per grant-table index. The grant slots
-	// start at min(resources, 2p), which covers the figures' and the
-	// benchmark's concurrency without a resize; the tree grows past it
-	// only as far as a run's peak, never to a huge resource count.
-	gbase := p
-	if cfg.RetryJitter > 0 {
-		gbase = 2 * p
-	}
+	// Timer slots: one arrival per processor, then one per grant-table
+	// index from slot p. The grant slots start at min(resources, 2p),
+	// which covers the figures' and the benchmark's concurrency without
+	// a resize; the tree grows past it only as far as a run's peak,
+	// never to a huge resource count.
 	k := kernel{
 		net: net, cfg: cfg, rates: rates, p: p,
 		src:       rng.New(cfg.Seed),
-		q:         newTimerTree(gbase + min(net.TotalResources(), 2*p)),
+		q:         newTimerTree(p + min(net.TotalResources(), 2*p)),
 		pt:        newProcTable(p, p),
 		grants:    newGrantTable(),
-		gbase:     gbase,
 		blocked:   newWaiterSet(p),
 		headSince: make([]float64, p),
 		delays:    stats.NewBatchMeans(int64(cfg.BatchSize)),
 		responses: stats.NewBatchMeans(int64(cfg.BatchSize)),
 		probe:     cfg.Probe,
-	}
-	if cfg.WakePolicy == WakeRandom {
-		k.wakeScratch = make([]int, p)
 	}
 	if cfg.CollectDelays {
 		k.kept = make([]float64, 0, cfg.Samples)
@@ -365,11 +312,9 @@ func (k *kernel) loop() error {
 				return err
 			}
 		case evTxDone:
-			k.txDone(slot - k.gbase)
+			k.txDone(slot - k.p)
 		case evSvcDone:
-			k.svcDone(slot - k.gbase)
-		case evRetry:
-			k.retry(slot - k.p)
+			k.svcDone(slot - k.p)
 		}
 		if invariant.Enabled() {
 			if verr := blockedInvariant(k.pt, k.blocked); verr != nil {
@@ -455,7 +400,7 @@ func (k *kernel) startTx(pid int, g core.Grant) float64 {
 	k.pt.transmitting[pid] = true
 	k.setBusy(1)
 	gi := k.grants.put(g, arrivedAt)
-	k.schedule(k.gbase+gi, k.now+k.src.Exp(k.cfg.MuN), evTxDone)
+	k.schedule(k.p+gi, k.now+k.src.Exp(k.cfg.MuN), evTxDone)
 	d := k.now - arrivedAt
 	//lint:coldpath probe emission, nil on the measured fast path
 	if k.probe != nil {
@@ -519,11 +464,13 @@ func (k *kernel) tryStart(pid int) bool {
 
 // wake retries the blocked processors in [lo, hi) after a release:
 // the released grant's core.Peers block, which is its sub-network's
-// processors, or all p when the network is not partitioned. It visits
-// only the registered blocked waiters of the range, in the order a full
-// rescan of all p processors restricted to the range would reach them
-// (runOracle's legacy mode with the range filter), so results are
-// bit-for-bit identical:
+// processors, or all p when the network is not partitioned. Waiters
+// retry in ascending index order — the asymmetric priority of the
+// paper's distributed crossbar cells, whose wavefront the low-index
+// processors win. wake visits only the registered blocked waiters of
+// the range, in the order a full rescan of all p processors restricted
+// to the range would reach them (runOracle's legacy mode with the range
+// filter), so results are bit-for-bit identical:
 //
 //   - tryStart is a strict no-op (no Acquire, no RNG draw) for any
 //     processor that is transmitting or has an empty queue, so
@@ -533,10 +480,7 @@ func (k *kernel) tryStart(pid int) bool {
 //     processor becomes blocked mid-pass and the waiter set only
 //     loses the members the pass itself grants;
 //   - the full rescan repeats passes while any pass made progress, so
-//     wake does too;
-//   - WakeRandom draws a full permutation per pass either way
-//     (PermInto consumes exactly Perm's variates) and filters it by
-//     range and membership, preserving the RNG stream.
+//     wake does too.
 //
 // Narrowing to the range leaves every delay unchanged: each capacity
 // increase in a sub-network is followed by a wake of that sub-network,
@@ -544,63 +488,17 @@ func (k *kernel) tryStart(pid int) bool {
 // consume capacity, so a waiter outside the range would fail its next
 // attempt as it failed its last. A failed attempt moves only network
 // telemetry and probe events, which therefore count fewer attempts.
-// Two sub-network options void the argument, and no partitioned
-// configuration the figures or CLIs build sets either: omega's
-// LaneRandom draws from its own stream on every attempt, and
-// omega.WithoutReroute can grant on less capacity, because a lane that
-// closes sends the request down the other one.
-//
-// With RetryJitter set, retries are instead scheduled after
-// independent exponential delays — the paper's de-synchronization
-// suggestion — visiting the range's waiters in ascending order. The
-// range then also cuts the retries drawn, so jittered partitioned
-// runs draw fewer variates than a full rescan would.
+// One sub-network option voids the argument, and config.Build never
+// sets it: omega.WithoutReroute can grant on less capacity, because a
+// lane that closes sends the request down the other one.
 //
 //lint:hotpath post-release retry engine
 func (k *kernel) wake(lo, hi int) {
-	if k.cfg.RetryJitter > 0 {
+	for progress := true; progress; {
+		progress = false
 		for pid := k.blocked.next(lo, hi); pid != -1; pid = k.blocked.next(pid+1, hi) {
-			if k.q.armedAt(k.p + pid) {
-				continue
-			}
-			k.schedule(k.p+pid, k.now+k.src.Exp(1/k.cfg.RetryJitter), evRetry)
-		}
-		return
-	}
-	switch k.cfg.WakePolicy {
-	case WakeIndexOrder:
-		for progress := true; progress; {
-			progress = false
-			for pid := k.blocked.next(lo, hi); pid != -1; pid = k.blocked.next(pid+1, hi) {
-				if k.tryStart(pid) {
-					progress = true
-				}
-			}
-		}
-	case WakeRoundRobin:
-		k.rrStart = (k.rrStart + 1) % k.p
-		for progress := true; progress; {
-			progress = false
-			for pid := k.blocked.next(max(lo, k.rrStart), hi); pid != -1; pid = k.blocked.next(pid+1, hi) {
-				if k.tryStart(pid) {
-					progress = true
-				}
-			}
-			end := min(hi, k.rrStart)
-			for pid := k.blocked.next(lo, end); pid != -1; pid = k.blocked.next(pid+1, end) {
-				if k.tryStart(pid) {
-					progress = true
-				}
-			}
-		}
-	case WakeRandom:
-		for progress := true; progress; {
-			progress = false
-			k.src.PermInto(k.wakeScratch)
-			for _, pid := range k.wakeScratch {
-				if pid >= lo && pid < hi && k.blocked.contains(pid) && k.tryStart(pid) {
-					progress = true
-				}
+			if k.tryStart(pid) {
+				progress = true
 			}
 		}
 	}
@@ -676,7 +574,7 @@ func (k *kernel) txDone(gi int) {
 	k.setBusy(-1)
 	k.inService++
 	k.grants.markTx(gi, k.now)
-	k.schedule(k.gbase+gi, k.now+k.src.Exp(k.cfg.MuS), evSvcDone)
+	k.schedule(k.p+gi, k.now+k.src.Exp(k.cfg.MuS), evSvcDone)
 	//lint:coldpath probe emission, nil on the measured fast path
 	if k.probe != nil {
 		k.probe.Event(obs.Event{T: k.now, Kind: obs.KindTransmitEnd, Pid: pid, Port: g.Port, Req: k.grants.req(gi)})
@@ -694,7 +592,7 @@ func (k *kernel) txDone(gi int) {
 //
 //lint:hotpath
 func (k *kernel) svcDone(gi int) {
-	k.q.disarm(k.gbase + gi)
+	k.q.disarm(k.p + gi)
 	s := k.grants.slot(gi)
 	lo, hi := k.peers(s.g)
 	k.net.ReleaseResource(s.g)
@@ -739,14 +637,8 @@ func (k *kernel) svcDone(gi int) {
 	k.wake(lo, hi)
 }
 
-//lint:hotpath jittered re-attempt (Config.RetryJitter)
-func (k *kernel) retry(pid int) {
-	k.q.disarm(k.p + pid)
-	k.tryStart(pid)
-}
-
 // grantTable stores outstanding grants (and their tasks' arrival times)
-// indexed by small reusable ints; index gi owns timer slot gbase+gi.
+// indexed by small reusable ints; index gi owns timer slot p+gi.
 type grantTable struct {
 	slots []grantSlot
 	free  []int

@@ -236,26 +236,6 @@ func TestUtilizationMatchesThroughput(t *testing.T) {
 	}
 }
 
-func TestWakePolicies(t *testing.T) {
-	for _, pol := range []WakePolicy{WakeIndexOrder, WakeRandom, WakeRoundRobin} {
-		t.Run(pol.String(), func(t *testing.T) {
-			res, err := Run(crossbar.New(16, 8, 2), Config{
-				Lambda: 0.05, MuN: 1, MuS: 1,
-				Seed: 9, Warmup: 500, Samples: 20000, WakePolicy: pol,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Delay.Mean < 0 {
-				t.Errorf("negative delay %v", res.Delay.Mean)
-			}
-			if res.Completed == 0 {
-				t.Error("no completions")
-			}
-		})
-	}
-}
-
 func TestMeanQueueLittlesLaw(t *testing.T) {
 	// Little's law on the waiting room: E[l] = Λ·d.
 	cfg := Config{Lambda: 0.05, MuN: 1, MuS: 0.1, Seed: 13, Warmup: 3000, Samples: 200000}
@@ -305,30 +285,6 @@ func TestResponseTimeDecomposition(t *testing.T) {
 	if math.Abs(res.Response.Mean-want) > 3*res.Response.HalfWide+0.05*want {
 		t.Errorf("response %v, want ≈ %v (delay %v + 1/μn + 1/μs)",
 			res.Response.Mean, want, res.Delay.Mean)
-	}
-}
-
-func TestRetryJitter(t *testing.T) {
-	// With jittered retries the system still reaches steady state and
-	// measures a sane (somewhat larger) delay: the retry delay adds to
-	// the queueing time.
-	base := Config{Lambda: 0.05, MuN: 1, MuS: 0.1, Seed: 41, Warmup: 2000, Samples: 100000}
-	plain, err := Run(bus.New(16, 32), base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jit := base
-	jit.RetryJitter = 0.5
-	jittered, err := Run(bus.New(16, 32), jit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if jittered.Completed == 0 {
-		t.Fatal("jittered run completed nothing")
-	}
-	if jittered.Delay.Mean < plain.Delay.Mean {
-		t.Errorf("jittered delay %v below immediate-retry delay %v (jitter can only add waiting)",
-			jittered.Delay.Mean, plain.Delay.Mean)
 	}
 }
 

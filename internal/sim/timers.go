@@ -13,16 +13,16 @@ const (
 	evArrival eventKind = iota
 	evTxDone
 	evSvcDone
-	evRetry
 )
 
 // timerTree is the kernel's pending-event set: an indexed tournament
 // (winner) tree over a fixed family of timer slots. Under the paper's
 // workload model every pending event belongs to one entity that has at
 // most one pending event at a time — a processor's next arrival, a
-// processor's jittered retry, a grant's transmission or service
-// completion — so each entity owns one leaf, and its handler re-arms or
-// disarms that leaf instead of pushing and popping events.
+// grant's transmission or service completion — so each entity owns one
+// leaf, and its handler re-arms or disarms that leaf instead of pushing
+// and popping events. Slots [0, p) are the processors' arrivals and
+// slot p+gi is grant-table index gi's.
 //
 // node[1] is the root and node[n+slot] is slot's leaf, n a power of
 // two. Every node holds the least (time, seq) key of its subtree and

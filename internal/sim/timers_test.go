@@ -197,7 +197,7 @@ func FuzzTimerTree(f *testing.F) {
 				if a >= len(armed) || !armed[a] {
 					count++
 				}
-				set(a, tm, eventKind(b%4))
+				set(a, tm, eventKind(b%3))
 			case 1: // disarm slot a when armed
 				if a < len(armed) && armed[a] {
 					q.disarm(a)

@@ -179,39 +179,32 @@ func diffLambda(name string) float64 {
 }
 
 // TestWakeEngineDifferential is the equivalence proof for the
-// incremental wake engine: for every network class, wake policy,
-// jitter setting, and seed, a run with the legacy full-rescan engine
-// (runOracle's legacy mode) must produce a Result — metrics,
-// telemetry, detail counters, and every raw delay sample — that
-// renders byte-identically to the incremental engine's.
+// incremental wake engine: for every network class and seed, a run with
+// the legacy full-rescan engine (runOracle's legacy mode) must produce a
+// Result — metrics, telemetry, detail counters, and every raw delay
+// sample — that renders byte-identically to the incremental engine's.
 func TestWakeEngineDifferential(t *testing.T) {
 	for name, mk := range diffNets() {
-		for _, pol := range []WakePolicy{WakeIndexOrder, WakeRandom, WakeRoundRobin} {
-			for _, jitter := range []float64{0, 0.3} {
-				for _, seed := range []uint64{1, 2} {
-					label := fmt.Sprintf("%s/%s/jitter=%g/seed=%d", name, pol, jitter, seed)
-					t.Run(label, func(t *testing.T) {
-						cfg := Config{
-							Lambda: diffLambda(name), MuN: 2, MuS: 1,
-							Seed: seed, Warmup: 50, Samples: 4000,
-							WakePolicy: pol, RetryJitter: jitter,
-							CollectDelays: true,
-						}
-						want, err := runOracle(mk(), cfg, true, true)
-						if err != nil {
-							t.Fatal(err)
-						}
-						got, err := Run(mk(), cfg)
-						if err != nil {
-							t.Fatal(err)
-						}
-						ws, gs := fmt.Sprintf("%+v", want), fmt.Sprintf("%+v", got)
-						if ws != gs {
-							t.Errorf("incremental engine diverged from legacy:\nlegacy      %.400s\nincremental %.400s", ws, gs)
-						}
-					})
+		for _, seed := range []uint64{1, 2} {
+			t.Run(fmt.Sprintf("%s/seed=%d", name, seed), func(t *testing.T) {
+				cfg := Config{
+					Lambda: diffLambda(name), MuN: 2, MuS: 1,
+					Seed: seed, Warmup: 50, Samples: 4000,
+					CollectDelays: true,
 				}
-			}
+				want, err := runOracle(mk(), cfg, true, true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := Run(mk(), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ws, gs := fmt.Sprintf("%+v", want), fmt.Sprintf("%+v", got)
+				if ws != gs {
+					t.Errorf("incremental engine diverged from legacy:\nlegacy      %.400s\nincremental %.400s", ws, gs)
+				}
+			})
 		}
 	}
 }
@@ -222,39 +215,37 @@ func TestWakeEngineDifferential(t *testing.T) {
 // in the same order.
 func TestWakeEngineDifferentialTrace(t *testing.T) {
 	for name, mk := range diffNets() {
-		for _, pol := range []WakePolicy{WakeIndexOrder, WakeRandom, WakeRoundRobin} {
-			t.Run(name+"/"+pol.String(), func(t *testing.T) {
-				render := func(legacy bool) []byte {
-					tr := obs.NewTrace()
-					cfg := Config{
-						Lambda: diffLambda(name), MuN: 2, MuS: 1,
-						Seed: 7, Warmup: 50, Samples: 1500,
-						WakePolicy: pol, Probe: tr,
-					}
-					var err error
-					if legacy {
-						_, err = runOracle(mk(), cfg, true, true)
-					} else {
-						_, err = Run(mk(), cfg)
-					}
-					if err != nil {
-						t.Fatal(err)
-					}
-					var buf bytes.Buffer
-					if err := obs.WriteTraces(&buf, tr); err != nil {
-						t.Fatal(err)
-					}
-					return buf.Bytes()
+		t.Run(name, func(t *testing.T) {
+			render := func(legacy bool) []byte {
+				tr := obs.NewTrace()
+				cfg := Config{
+					Lambda: diffLambda(name), MuN: 2, MuS: 1,
+					Seed: 7, Warmup: 50, Samples: 1500,
+					Probe: tr,
 				}
-				want, got := render(true), render(false)
-				if !bytes.Equal(want, got) {
-					t.Error("incremental engine produced different trace bytes than legacy")
+				var err error
+				if legacy {
+					_, err = runOracle(mk(), cfg, true, true)
+				} else {
+					_, err = Run(mk(), cfg)
 				}
-				if len(want) == 0 {
-					t.Fatal("empty trace")
+				if err != nil {
+					t.Fatal(err)
 				}
-			})
-		}
+				var buf bytes.Buffer
+				if err := obs.WriteTraces(&buf, tr); err != nil {
+					t.Fatal(err)
+				}
+				return buf.Bytes()
+			}
+			want, got := render(true), render(false)
+			if !bytes.Equal(want, got) {
+				t.Error("incremental engine produced different trace bytes than legacy")
+			}
+			if len(want) == 0 {
+				t.Fatal("empty trace")
+			}
+		})
 	}
 }
 
