@@ -50,16 +50,15 @@ func telDelta(after, before core.Telemetry) core.Telemetry {
 type walkShape struct {
 	n, perPort int
 	wiring     Wiring
+	random     bool // a typed substrate's pools are drawn at random; untyped shapes ignore it
 	typed      bool // substrate of a bound TypedOmega whose acquires join the mix
 	noReroute  bool
 }
 
-// header encodes the shape as the three bytes decodeShape reads. Flag
-// bit 1 is unused: it once selected random lanes, and inputs that set
-// it still decode.
+// header encodes the shape as the three bytes decodeShape reads.
 func (s walkShape) header() []byte {
 	var flags byte
-	for i, on := range []bool{s.wiring == CubeWiring, false, s.typed, s.noReroute} {
+	for i, on := range []bool{s.wiring == CubeWiring, s.random, s.typed, s.noReroute} {
 		if on {
 			flags |= 1 << i
 		}
@@ -73,6 +72,7 @@ func decodeShape(b []byte) walkShape {
 	s := walkShape{
 		n:         2 << (b[0] % 6),
 		perPort:   1 + int(b[1]%2),
+		random:    b[2]&2 != 0,
 		typed:     b[2]&4 != 0,
 		noReroute: b[2]&8 != 0,
 	}
@@ -83,8 +83,8 @@ func decodeShape(b []byte) walkShape {
 }
 
 func (s walkShape) String() string {
-	return fmt.Sprintf("%s-%dx%d-r%d-typed=%v-noReroute=%v",
-		s.wiring, s.n, s.n, s.perPort, s.typed, s.noReroute)
+	return fmt.Sprintf("%s-%dx%d-r%d-random=%v-typed=%v-noReroute=%v",
+		s.wiring, s.n, s.n, s.perPort, s.random, s.typed, s.noReroute)
 }
 
 // heldGrant is an outstanding grant and the network that issued it.
@@ -114,13 +114,25 @@ func newEligWalk(t testing.TB, s walkShape) *eligWalk {
 	}
 	w := &eligWalk{t: t, busy: make([]bool, s.n), held: make([]int, s.n)}
 	if s.typed {
-		// One resource of each of perPort types behind every port, so the
-		// substrate's per-port capacity is perPort.
-		pool := make([]int, s.perPort)
-		for k := range pool {
-			pool[k] = 1
+		// perPort types behind every port, one resource of each. A random
+		// shape draws each count from {0, 1} instead, so a type-t route
+		// must find a port that carries type t at all.
+		src := rng.New(uint64(s.n*8 + s.perPort))
+		pools, total := make([][]int, s.n), 0
+		for j := range pools {
+			pools[j] = make([]int, s.perPort)
+			for k := range pools[j] {
+				pools[j][k] = 1
+				if s.random {
+					pools[j][k] = src.Intn(2)
+				}
+				total += pools[j][k]
+			}
 		}
-		to := NewTyped(s.n, uniformPools(s.n, pool), opts...)
+		if total == 0 {
+			pools[0][0] = 1
+		}
+		to := NewTyped(s.n, pools, opts...)
 		typeOf := make([]int, s.n)
 		for pid := range typeOf {
 			typeOf[pid] = pid % s.perPort
@@ -334,8 +346,8 @@ func take(hs *[]heldGrant, x int) heldGrant {
 
 // walkShapes are the random walk's networks and the fuzz target's seed
 // shapes: N = 2, 16 and 64 (64 fills the whole register), both wirings
-// and one or two resources per port, each plain, as a typed substrate,
-// and without reroute.
+// and one or two resources per port, each plain, as a typed substrate
+// with random pools, and without reroute.
 func walkShapes() []walkShape {
 	var shapes []walkShape
 	for _, n := range []int{2, 16, 64} {
@@ -343,9 +355,9 @@ func walkShapes() []walkShape {
 			for _, perPort := range []int{1, 2} {
 				s := walkShape{n: n, perPort: perPort, wiring: wiring}
 				shapes = append(shapes, s)
-				s.typed = true
+				s.random, s.typed = true, true
 				shapes = append(shapes, s)
-				s.typed, s.noReroute = false, true
+				s.random, s.typed, s.noReroute = false, false, true
 				shapes = append(shapes, s)
 			}
 		}

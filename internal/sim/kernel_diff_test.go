@@ -206,7 +206,8 @@ func TestPeersOnlyWakeMatchesFullRescan(t *testing.T) {
 	rows = append(rows, row{"golden-p256", goldenNet, goldenConfig()})
 	for _, r := range rows {
 		_, partitioned := r.mk().(*core.Partitioned)
-		t.Run(r.name, func(t *testing.T) {
+		// The suffix names the kernel's one wake order.
+		t.Run(r.name+"/index-order", func(t *testing.T) {
 			if r.mk().Processors() > 16 {
 				invariant.Enable(false)
 				defer invariant.Enable(true)

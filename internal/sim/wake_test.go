@@ -183,10 +183,13 @@ func diffLambda(name string) float64 {
 // the legacy full-rescan engine (runOracle's legacy mode) must produce a
 // Result — metrics, telemetry, detail counters, and every raw delay
 // sample — that renders byte-identically to the incremental engine's.
+// Each label names the kernel's one wake order, index order, and its
+// immediate (unjittered) retry, which keeps the names the rows had when
+// the matrix also swept other wake orders and a retry jitter.
 func TestWakeEngineDifferential(t *testing.T) {
 	for name, mk := range diffNets() {
 		for _, seed := range []uint64{1, 2} {
-			t.Run(fmt.Sprintf("%s/seed=%d", name, seed), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/index-order/jitter=0/seed=%d", name, seed), func(t *testing.T) {
 				cfg := Config{
 					Lambda: diffLambda(name), MuN: 2, MuS: 1,
 					Seed: seed, Warmup: 50, Samples: 4000,
@@ -215,7 +218,7 @@ func TestWakeEngineDifferential(t *testing.T) {
 // in the same order.
 func TestWakeEngineDifferentialTrace(t *testing.T) {
 	for name, mk := range diffNets() {
-		t.Run(name, func(t *testing.T) {
+		t.Run(name+"/index-order", func(t *testing.T) {
 			render := func(legacy bool) []byte {
 				tr := obs.NewTrace()
 				cfg := Config{
