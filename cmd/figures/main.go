@@ -104,6 +104,10 @@ func run(sink *obs.Sink) error {
 	switch {
 	case *format != "text" && *format != "csv":
 		return fmt.Errorf("unknown -format %q (want text or csv)", *format)
+	case *reps < 1:
+		return fmt.Errorf("-reps must be at least 1 (got %d)", *reps)
+	case *workers < 0:
+		return fmt.Errorf("-workers must be non-negative (got %d)", *workers)
 	case *shards < 0:
 		return fmt.Errorf("-shards must be non-negative (got %d)", *shards)
 	case *attrTopK < 0:

@@ -52,6 +52,10 @@ func TestRejectedInvocations(t *testing.T) {
 		{"series-dt Inf", []string{"-fig", "7", "-quick", "-series", series, "-series-dt", "+Inf"}},
 		{"unknown format", []string{"-fig", "7", "-quick", "-format", "bogus"}},
 		{"negative shards", []string{"-fig", "7", "-quick", "-shards", "-1"}},
+		// These used to run as one replication and as all CPUs.
+		{"reps zero", []string{"-fig", "7", "-quick", "-reps", "0"}},
+		{"reps negative", []string{"-fig", "7", "-quick", "-reps", "-2"}},
+		{"workers negative", []string{"-fig", "7", "-quick", "-workers", "-3"}},
 		{"shards with attr", []string{"-fig", "7", "-quick", "-shards", "2", "-attr", filepath.Join(dir, "a.json")}},
 		{"negative attr-topk", []string{"-fig", "7", "-quick", "-attr", filepath.Join(dir, "a.json"), "-attr-topk", "-1"}},
 		{"unknown figure", []string{"-fig", "bogus"}},

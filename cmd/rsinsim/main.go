@@ -92,11 +92,11 @@ func run() error {
 		cfgStr   = flag.String("config", "16/1x16x16 OMEGA/2", "system configuration in p/ixjxk NET/r notation")
 		ratio    = flag.Float64("ratio", 0.1, "μs/μn ratio (transmission rate μn is fixed at 1)")
 		rho      = flag.Float64("rho", 0.5, "traffic intensity of the 16/32 reference system")
-		lambda   = flag.Float64("lambda", 0, "per-processor arrival rate (overrides -rho if > 0)")
+		lambda   = flag.Float64("lambda", 0, "per-processor arrival rate (overrides -rho if > 0; must not be negative)")
 		samples  = flag.Int("samples", 200000, "post-warmup delay samples")
 		warmup   = flag.Float64("warmup", 2000, "warmup period (simulated time)")
 		seed     = flag.Uint64("seed", 1, "simulation seed")
-		reps     = flag.Int("reps", 1, "independent replications, pooled into one estimate")
+		reps     = flag.Int("reps", 1, "independent replications, pooled into one estimate (at least 1)")
 		workers  = flag.Int("workers", 0, "worker goroutines for replications (0 = all CPUs)")
 		shards   = flag.Int("shards", 0, "run the independent sub-networks as a sharded simulation batched into this many jobs, merged deterministically (0 = classic single event loop; output is byte-identical for any positive value)")
 		analytic = flag.Bool("analytic", false, "use the exact Markov analysis (SBUS configurations only)")
@@ -125,14 +125,20 @@ func run() error {
 	if math.IsNaN(*rho) || math.IsInf(*rho, 0) {
 		return fmt.Errorf("-rho must be finite (got %g)", *rho)
 	}
-	if math.IsNaN(*lambda) || math.IsInf(*lambda, 0) {
-		return fmt.Errorf("-lambda must be finite (got %g)", *lambda)
+	if !(*lambda >= 0) || math.IsInf(*lambda, 0) {
+		return fmt.Errorf("-lambda must be non-negative and finite (got %g)", *lambda)
 	}
 	if math.IsNaN(*warmup) || math.IsInf(*warmup, 0) {
 		return fmt.Errorf("-warmup must be finite (got %g)", *warmup)
 	}
 	if *samples < 1 {
 		return fmt.Errorf("-samples must be at least 1 (got %d)", *samples)
+	}
+	if *reps < 1 {
+		return fmt.Errorf("-reps must be at least 1 (got %d)", *reps)
+	}
+	if *workers < 0 {
+		return fmt.Errorf("-workers must be non-negative (got %d)", *workers)
 	}
 	if *attrTopK < 0 {
 		return fmt.Errorf("-attr-topk must be non-negative (got %d)", *attrTopK)
@@ -165,6 +171,16 @@ func run() error {
 	if *analytic && cfg.Type != config.SBUS {
 		return fmt.Errorf("-analytic supports SBUS configurations only (got %s)", cfg.Type)
 	}
+	muN := 1.0
+	muS := *ratio * muN
+	lam := *lambda
+	if lam == 0 {
+		lam = queueing.LambdaForIntensity(*rho, 16, muN, muS, 32)
+	}
+	if !(lam > 0) {
+		// No task would ever arrive: the delay estimate would be 0 ± +Inf.
+		return fmt.Errorf("the arrival rate must be positive (got λ=%g from -rho %g)", lam, *rho)
+	}
 	if *cpuProfile != "" {
 		stop, err := obs.StartCPUProfile(*cpuProfile)
 		if err != nil {
@@ -180,12 +196,6 @@ func run() error {
 		}()
 	}
 
-	muN := 1.0
-	muS := *ratio * muN
-	lam := *lambda
-	if lam <= 0 {
-		lam = queueing.LambdaForIntensity(*rho, 16, muN, muS, 32)
-	}
 	effRho := queueing.TrafficIntensity(cfg.Processors, lam, muN, muS, cfg.TotalResources())
 	fmt.Printf("configuration: %s  (%d processors, %d ports, %d resources)\n",
 		cfg, cfg.Processors, cfg.Networks*cfg.Outputs, cfg.TotalResources())
@@ -208,9 +218,6 @@ func run() error {
 		return nil
 	}
 
-	if *reps < 1 {
-		*reps = 1
-	}
 	sw := obs.NewStopwatch()
 	// Per-replication observers: each replication owns its probe (in
 	// sharded mode, one probe per sub-network, merged after the run), so

@@ -83,6 +83,16 @@ func TestRejectedInvocations(t *testing.T) {
 		{"warmup -Inf", []string{"-config", xbar, "-warmup", "-Inf"}},
 		{"samples zero", []string{"-config", xbar, "-samples", "0"}},
 		{"samples negative", []string{"-config", xbar, "-samples", "-5"}},
+		// These used to run: -reps below 1 as one replication, a
+		// negative -workers as all CPUs, a negative -lambda at -rho's
+		// rate, and -rho 0 printing a delay of 0 ± +Inf.
+		{"reps zero", []string{"-config", xbar, "-reps", "0"}},
+		{"reps negative", []string{"-config", xbar, "-reps", "-5"}},
+		{"workers negative", []string{"-config", xbar, "-workers", "-3"}},
+		{"lambda negative", []string{"-config", xbar, "-lambda", "-1"}},
+		{"rho zero", []string{"-config", xbar, "-rho", "0"}},
+		{"rho negative", []string{"-config", xbar, "-rho", "-0.5"}},
+		{"analytic with rho zero", []string{"-config", sbus, "-analytic", "-rho", "0"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			stdout, msg, err := runRsinsim(tc.args...)

@@ -15,8 +15,8 @@ import (
 // seed scheme removed.
 var SeedFlow = &Analyzer{
 	Name: "seedflow",
-	Doc: "in experiment and cmd packages, rng.New arguments and Seed fields of " +
-		"sim.Config / config.BuildOptions must be derived via runner.DeriveSeed, " +
+	Doc: "in experiment and cmd packages, rng.New arguments and sim.Config Seed " +
+		"fields must be derived via runner.DeriveSeed, " +
 		"directly or through a wrapper the summaries prove derives its result",
 	Run: runSeedFlow,
 }
@@ -27,12 +27,10 @@ func seedFlowScoped(path string) bool {
 	return path == "rsin/internal/experiments" || strings.HasPrefix(path, "rsin/cmd/")
 }
 
-// seedStructs are the configuration types whose Seed field feeds a
-// random stream.
-var seedStructs = map[string]bool{
-	"rsin/internal/sim.Config":          true,
-	"rsin/internal/config.BuildOptions": true,
-}
+// seedStruct is the configuration type whose Seed field feeds a random
+// stream. config.BuildOptions also has a Seed, but Build ignores it, so
+// there is no stream to guard.
+const seedStruct = "rsin/internal/sim.Config"
 
 func isSeedStruct(t types.Type) bool {
 	if t == nil {
@@ -49,7 +47,7 @@ func isSeedStruct(t types.Type) bool {
 	if obj.Pkg() == nil {
 		return false
 	}
-	return seedStructs[obj.Pkg().Path()+"."+obj.Name()]
+	return obj.Pkg().Path()+"."+obj.Name() == seedStruct
 }
 
 func runSeedFlow(p *Pass) error {

@@ -5,7 +5,6 @@
 package seedflow
 
 import (
-	"rsin/internal/config"
 	"rsin/internal/rng"
 	"rsin/internal/runner"
 	"rsin/internal/sim"
@@ -22,9 +21,9 @@ func BadArith(base uint64, i int) sim.Config {
 	return sim.Config{Seed: base + uint64(i)} // want "Seed field is not derived"
 }
 
-// BadAssign writes a literal seed into build options.
-func BadAssign(opt *config.BuildOptions) {
-	opt.Seed = 42 // want "Seed assignment is not derived"
+// BadAssign writes a literal seed into a simulation config.
+func BadAssign(cfg *sim.Config) {
+	cfg.Seed = 42 // want "Seed assignment is not derived"
 }
 
 // GoodDerive uses the canonical derivation at every site.
@@ -37,7 +36,7 @@ func GoodDerive(base uint64, point, rep int) (*rng.Source, sim.Config) {
 
 // GoodThreaded passes an already-derived value straight through; the
 // producer of the value is checked where it is constructed.
-func GoodThreaded(seed uint64, opt config.BuildOptions) (*rng.Source, config.BuildOptions) {
-	opt.Seed = seed
-	return rng.New(seed), opt
+func GoodThreaded(seed uint64, cfg sim.Config) (*rng.Source, sim.Config) {
+	cfg.Seed = seed
+	return rng.New(seed), cfg
 }

@@ -66,6 +66,9 @@ func NewAttrRecorder(k int) *AttrRecorder {
 	}
 }
 
+// Kinds declares the one kind the recorder reads.
+func (a *AttrRecorder) Kinds() KindSet { return KindSetOf(KindComplete) }
+
 // Event implements Probe.
 //
 //lint:hotpath
@@ -83,6 +86,11 @@ func (a *AttrRecorder) Event(e Event) {
 	a.tx.Add(e.Tx)
 	a.svc.Add(e.Svc)
 	a.resp.Add(e.Dur)
+	// Once the table is full, a request faster than its fastest entry
+	// cannot enter: skip building its row.
+	if n := len(a.top); n == cap(a.top) && (n == 0 || e.Dur < a.top[n-1].Resp) {
+		return
+	}
 	a.noteSlow(SlowRequest{
 		Req: e.Req, Pid: e.Pid, Port: e.Port, Resp: e.Dur,
 		Wait: e.Wait, Block: e.Block, Tx: e.Tx, Svc: e.Svc,

@@ -17,9 +17,12 @@
 // These are the only sanctioned homes for wall-clock reads outside
 // internal/runner; the noclock analyzer enforces that split.
 //
-// A nil Probe is the fast path: instrumentation sites in the engine
-// guard every emission with a nil check, so an unobserved simulation
-// pays one predictable branch per event and nothing else.
+// A probe may name the event kinds it reads (Kinds, KindsOf). The
+// engine builds only the events of those kinds and Multi forwards each
+// event only to the probes that read its kind; a probe that names
+// nothing receives every event. A nil Probe reads no kind, so an
+// unobserved simulation pays one predictable branch per emission site
+// and nothing else.
 package obs
 
 import "fmt"
@@ -118,11 +121,53 @@ type Event struct {
 	Svc   float64
 }
 
+// KindSet is a set of event kinds, one bit per Kind.
+type KindSet uint16
+
+// AllKinds holds every kind the engine emits. Its constant expression
+// stops compiling if the kinds outgrow KindSet's 16 bits.
+const AllKinds KindSet = 1<<numKinds - 1
+
+// KindSetOf returns the set holding exactly the given kinds.
+func KindSetOf(kinds ...Kind) KindSet {
+	var s KindSet
+	for _, k := range kinds {
+		s |= 1 << k
+	}
+	return s
+}
+
+// Has reports whether k is in s.
+func (s KindSet) Has(k Kind) bool { return s&(1<<k) != 0 }
+
 // Probe consumes lifecycle events. Implementations must not block and
 // must derive nothing from the wall clock; the engine calls them
 // synchronously from its event loop.
+//
+// A probe that reads only some kinds says so with a method
+//
+//	Kinds() KindSet
+//
+// and then receives only events of those kinds from the engine and
+// from Multi. It must ignore every other kind, since a caller may still
+// hand it the full stream. A probe without the method receives every
+// event.
 type Probe interface {
 	Event(Event)
+}
+
+// KindsOf returns the kinds p reads: none for a nil probe, the set p
+// declares through its Kinds method, and AllKinds for a probe that
+// declares nothing (Func among them).
+func KindsOf(p Probe) KindSet {
+	switch d := p.(type) {
+	case nil:
+		return 0
+	case interface{ Kinds() KindSet }:
+		return d.Kinds()
+	default:
+		return AllKinds
+	}
 }
 
 // Func adapts a plain function to the Probe interface.
@@ -133,31 +178,49 @@ type Func func(Event)
 //lint:ignore puredet adapter dispatch: the wrapped probe function comes from the certified construction site
 func (f Func) Event(e Event) { f(e) }
 
-// Multi fans each event out to every non-nil probe, in argument order.
-// It returns nil when no usable probe remains, preserving the engine's
-// nil fast path.
+// Multi fans each event out to every non-nil probe that reads its
+// kind, in argument order, and declares the union of their kinds. It
+// returns nil when no usable probe remains, preserving the engine's
+// nil fast path, and the probe itself when only one remains.
 func Multi(probes ...Probe) Probe {
 	var kept multi
 	for _, p := range probes {
 		if p != nil {
-			kept = append(kept, p)
+			kept = append(kept, route{p, KindsOf(p)})
 		}
 	}
 	switch len(kept) {
 	case 0:
 		return nil
 	case 1:
-		return kept[0]
+		return kept[0].p
 	default:
 		return kept
 	}
 }
 
-type multi []Probe
+type multi []route
+
+// route is one child of a multi and the kinds it reads.
+type route struct {
+	p     Probe
+	kinds KindSet
+}
+
+// Kinds declares the union of the children's kinds.
+func (m multi) Kinds() KindSet {
+	var s KindSet
+	for _, r := range m {
+		s |= r.kinds
+	}
+	return s
+}
 
 // Event implements Probe.
 func (m multi) Event(e Event) {
-	for _, p := range m {
-		p.Event(e)
+	for i := range m {
+		if r := &m[i]; r.kinds.Has(e.Kind) {
+			r.p.Event(e)
+		}
 	}
 }

@@ -111,6 +111,13 @@ func (s *SeriesRecorder) sample(t float64) {
 	}
 }
 
+// Kinds declares the kinds that change the sampled state. Skipping the
+// others changes no sample: a tick is emitted on the first later event
+// or at Finish, with the state every earlier event left.
+func (s *SeriesRecorder) Kinds() KindSet {
+	return KindSetOf(KindEnqueue, KindTransmitStart, KindTransmitEnd, KindRelease)
+}
+
 // Event implements Probe.
 //
 //lint:hotpath

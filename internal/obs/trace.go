@@ -145,6 +145,11 @@ func NewTrace() *Trace {
 	return &Trace{txStart: map[int]float64{}}
 }
 
+// Kinds declares the kinds the trace records.
+func (t *Trace) Kinds() KindSet {
+	return KindSetOf(KindArrival, KindGrant, KindTransmitStart, KindTransmitEnd, KindRelease, KindReject)
+}
+
 // Event implements Probe.
 func (t *Trace) Event(e Event) {
 	switch e.Kind {

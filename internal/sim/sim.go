@@ -60,11 +60,13 @@ type Config struct {
 	// underlying batch means.
 	ExportAccumulators bool
 
-	// Probe, when non-nil, receives every lifecycle event (arrivals,
-	// enqueues, grants, transmissions, releases, rejects) stamped with
-	// simulated time. A nil Probe is the fast path: every emission site
-	// is guarded by a nil check, so an unobserved run pays one branch
-	// per event. Probes observe the full run including warmup.
+	// Probe, when non-nil, receives the lifecycle events (arrivals,
+	// enqueues, grants, transmissions, releases, rejects, completions)
+	// of the kinds it reads (obs.KindsOf), stamped with simulated time.
+	// The kernel builds no event of another kind. A nil Probe reads no
+	// kind: every emission site is guarded by a test of its kind's bit,
+	// so an unobserved run pays one branch per site. Probes observe the
+	// full run including warmup.
 	Probe obs.Probe
 }
 
@@ -238,6 +240,7 @@ type kernel struct {
 	inService                 int
 
 	probe obs.Probe
+	kinds obs.KindSet // the kinds probe reads; none without a probe
 }
 
 // newKernel builds the run's state and schedules every processor's
@@ -264,6 +267,7 @@ func newKernel(net core.Network, cfg Config, rates []float64) kernel {
 		delays:    stats.NewBatchMeans(int64(cfg.BatchSize)),
 		responses: stats.NewBatchMeans(int64(cfg.BatchSize)),
 		probe:     cfg.Probe,
+		kinds:     obs.KindsOf(cfg.Probe),
 	}
 	if cfg.CollectDelays {
 		k.kept = make([]float64, 0, cfg.Samples)
@@ -402,8 +406,8 @@ func (k *kernel) startTx(pid int, g core.Grant) float64 {
 	gi := k.grants.put(g, arrivedAt)
 	k.schedule(k.p+gi, k.now+k.src.Exp(k.cfg.MuN), evTxDone)
 	d := k.now - arrivedAt
-	//lint:coldpath probe emission, nil on the measured fast path
-	if k.probe != nil {
+	//lint:coldpath probe bookkeeping, skipped on the unobserved fast path
+	if k.kinds != 0 {
 		// Latency attribution: split d into queue wait (arrival →
 		// eligible) and network blocking (eligible → now). arrivedAt ≤
 		// eligibleAt ≤ now, and IEEE subtraction is monotone in the
@@ -417,7 +421,10 @@ func (k *kernel) startTx(pid int, g core.Grant) float64 {
 			wait += d - (wait + block)
 		}
 		k.grants.setAttr(gi, req, k.now, wait, block)
-		k.probe.Event(obs.Event{T: k.now, Kind: obs.KindTransmitStart, Pid: pid, Port: g.Port, Req: req, Dur: d})
+		//lint:coldpath probe emission, skipped unless the probe reads the kind
+		if k.kinds.Has(obs.KindTransmitStart) {
+			k.probe.Event(obs.Event{T: k.now, Kind: obs.KindTransmitStart, Pid: pid, Port: g.Port, Req: req, Dur: d})
+		}
 	}
 	return d
 }
@@ -446,15 +453,15 @@ func (k *kernel) tryStart(pid int) bool {
 	}
 	g, ok := k.net.Acquire(pid)
 	if !ok {
-		//lint:coldpath probe emission, nil on the measured fast path
-		if k.probe != nil && g.Rejects > 0 {
+		//lint:coldpath probe emission, skipped unless the probe reads the kind
+		if k.kinds.Has(obs.KindReject) && g.Rejects > 0 {
 			k.probe.Event(obs.Event{T: k.now, Kind: obs.KindReject, Pid: pid, Port: -1, Req: k.pt.arena.req[k.pt.qhead[pid]], Aux: g.Rejects})
 		}
 		k.blocked.add(pid)
 		return false
 	}
-	//lint:coldpath probe emission, nil on the measured fast path
-	if k.probe != nil {
+	//lint:coldpath probe emission, skipped unless the probe reads the kind
+	if k.kinds.Has(obs.KindGrant) {
 		k.probe.Event(obs.Event{T: k.now, Kind: obs.KindGrant, Pid: pid, Port: g.Port, Req: k.pt.arena.req[k.pt.qhead[pid]], Aux: g.Rejects})
 	}
 	k.blocked.remove(pid)
@@ -524,8 +531,8 @@ func (k *kernel) peers(g core.Grant) (lo, hi int) {
 func (k *kernel) arrival(pid int) error {
 	req := k.arrivedTotal
 	k.arrivedTotal++
-	//lint:coldpath probe emission, nil on the measured fast path
-	if k.probe != nil {
+	//lint:coldpath probe emission, skipped unless the probe reads the kind
+	if k.kinds.Has(obs.KindArrival) {
 		k.probe.Event(obs.Event{T: k.now, Kind: obs.KindArrival, Pid: pid, Port: -1, Req: req})
 	}
 	if k.pt.qlen[pid] == 0 && !k.pt.transmitting[pid] {
@@ -543,8 +550,8 @@ func (k *kernel) arrival(pid int) error {
 	// before the allocation attempt so probes see the causal
 	// order enqueue → grant. Aux is the queue length including
 	// this task.
-	//lint:coldpath probe emission, nil on the measured fast path
-	if k.probe != nil {
+	//lint:coldpath probe emission, skipped unless the probe reads the kind
+	if k.kinds.Has(obs.KindEnqueue) {
 		k.probe.Event(obs.Event{T: k.now, Kind: obs.KindEnqueue, Pid: pid, Port: -1, Req: req, Aux: int64(k.pt.queued(pid))})
 	}
 	k.tryStart(pid)
@@ -575,8 +582,8 @@ func (k *kernel) txDone(gi int) {
 	k.inService++
 	k.grants.markTx(gi, k.now)
 	k.schedule(k.p+gi, k.now+k.src.Exp(k.cfg.MuS), evSvcDone)
-	//lint:coldpath probe emission, nil on the measured fast path
-	if k.probe != nil {
+	//lint:coldpath probe emission, skipped unless the probe reads the kind
+	if k.kinds.Has(obs.KindTransmitEnd) {
 		k.probe.Event(obs.Event{T: k.now, Kind: obs.KindTransmitEnd, Pid: pid, Port: g.Port, Req: k.grants.req(gi)})
 	}
 	// The freed path (and bus) may unblock queued tasks of its
@@ -606,10 +613,13 @@ func (k *kernel) svcDone(gi int) {
 	if k.warmedUp && s.arrived >= k.cfg.Warmup {
 		k.responses.Add(k.now - s.arrived)
 	}
-	//lint:coldpath probe emission, nil on the measured fast path
-	if k.probe != nil {
+	//lint:coldpath probe emission, skipped unless the probe reads the kind
+	if k.kinds.Has(obs.KindRelease) {
+		k.probe.Event(obs.Event{T: k.now, Kind: obs.KindRelease, Pid: s.g.Processor, Port: s.g.Port, Req: s.req, Dur: k.now - s.txDone})
+	}
+	//lint:coldpath probe emission, skipped unless the probe reads the kind
+	if k.kinds.Has(obs.KindComplete) {
 		now := k.now
-		k.probe.Event(obs.Event{T: now, Kind: obs.KindRelease, Pid: s.g.Processor, Port: s.g.Port, Req: s.req, Dur: now - s.txDone})
 		// Close the request with its exact latency attribution.
 		// resp is the same expression the Response estimator
 		// consumes, tx/svc telescope between the stored stamps;
@@ -649,9 +659,9 @@ type grantSlot struct {
 	arrived float64
 	txDone  float64 // when transmission ended (service span start)
 
-	// Latency-attribution payload, populated by setAttr only when a
-	// probe is attached (the oracle kernel and the nil-probe fast path
-	// never touch it; put zeroes it on slot reuse).
+	// Latency-attribution payload, populated by setAttr only when the
+	// probe reads some kind (the oracle kernel and the unobserved fast
+	// path never touch it; put zeroes it on slot reuse).
 	req     int64
 	txStart float64
 	wait    float64 // queue-wait phase, fixed up so wait+block == delay d
@@ -686,9 +696,9 @@ func (t *grantTable) get(i int) core.Grant { return t.slots[i].g }
 
 // setAttr stores slot i's latency-attribution payload: request id,
 // transmit-start time, and the fixed-up queue-wait/network-blocking
-// phases. Called only when a probe is attached; put clears the fields
-// on slot reuse, so the oracle kernel (which never calls setAttr) is
-// unaffected.
+// phases. Called only when the probe reads some kind; put clears the
+// fields on slot reuse, so the oracle kernel (which never calls setAttr)
+// is unaffected.
 //
 //lint:hotpath
 func (t *grantTable) setAttr(i int, req int64, txStart, wait, block float64) {

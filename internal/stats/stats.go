@@ -326,6 +326,7 @@ func tQuantile(level float64, df int) float64 {
 // bucket; observations at or above 2^maxExp land in the overflow bucket.
 type Log2Histogram struct {
 	minExp  int
+	lo      float64 // 2^minExp, the lower edge of bucket 0
 	buckets []int64
 	under   int64
 	over    int64
@@ -335,13 +336,18 @@ type Log2Histogram struct {
 
 // NewLog2Histogram returns a histogram spanning [2^minExp, 2^maxExp)
 // with one bucket per binary order of magnitude. maxExp must exceed
-// minExp.
+// minExp, and the span must lie within the normal float64 exponents:
+// −1022 ≤ minExp and maxExp ≤ 1024.
 func NewLog2Histogram(minExp, maxExp int) *Log2Histogram {
 	if maxExp <= minExp {
 		panic("stats: Log2Histogram needs maxExp > minExp")
 	}
+	if minExp < -1022 || maxExp > 1024 {
+		panic("stats: Log2Histogram needs -1022 <= minExp and maxExp <= 1024")
+	}
 	return &Log2Histogram{
 		minExp:  minExp,
+		lo:      math.Ldexp(1, minExp),
 		buckets: make([]int64, maxExp-minExp),
 	}
 }
@@ -352,11 +358,14 @@ func NewLog2Histogram(minExp, maxExp int) *Log2Histogram {
 func (h *Log2Histogram) Add(x float64) {
 	h.total++
 	h.sum += x
-	if x < math.Ldexp(1, h.minExp) {
+	if x < h.lo {
 		h.under++
 		return
 	}
-	i := math.Ilogb(x) - h.minExp
+	// x ≥ 2^minExp ≥ 2^-1022 is normal, so its biased exponent field is
+	// floor(log2 x) + 1023. +Inf and NaN read exponent 1024, past every
+	// bucket since maxExp ≤ 1024, so they count as overflow.
+	i := int(math.Float64bits(x)>>52&0x7ff) - 1023 - h.minExp
 	if i >= len(h.buckets) {
 		h.over++
 		return

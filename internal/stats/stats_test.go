@@ -314,12 +314,72 @@ func TestLog2HistogramMerge(t *testing.T) {
 }
 
 func TestLog2HistogramConstructorPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
+	for _, tc := range []struct {
+		name           string
+		minExp, maxExp int
+	}{
+		{"empty span", 3, 3},
+		{"subnormal minExp", -1023, 0},
+		{"maxExp past the largest float", 0, 1025},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Error("expected panic")
+				}
+			}()
+			NewLog2Histogram(tc.minExp, tc.maxExp)
+		})
+	}
+}
+
+// TestLog2HistogramMatchesIlogb pins Add's bucket rule, which reads the
+// exponent bits, to the rule it replaced: underflow below 2^minExp,
+// else bucket math.Ilogb(x)−minExp, overflow past the last bucket.
+func TestLog2HistogramMatchesIlogb(t *testing.T) {
+	const under, over = -1, -2
+	ilogbBucket := func(minExp, n int, x float64) int {
+		if x < math.Ldexp(1, minExp) {
+			return under
 		}
-	}()
-	NewLog2Histogram(3, 3)
+		if i := math.Ilogb(x) - minExp; i < n {
+			return i
+		}
+		return over
+	}
+	for _, span := range [][2]int{{-20, 12}, {-2, 3}, {-1022, 1024}, {0, 1}} {
+		minExp, maxExp := span[0], span[1]
+		xs := []float64{
+			0, math.Copysign(0, -1), -1, math.Inf(-1),
+			math.SmallestNonzeroFloat64, 0x1p-1030, // subnormals
+			math.Nextafter(math.Ldexp(1, minExp), 0),
+			math.Nextafter(math.Ldexp(1, minExp), math.Inf(1)),
+			math.Ldexp(1, maxExp), math.MaxFloat64, math.Inf(1), math.NaN(),
+		}
+		for e := minExp; e <= maxExp; e++ { // every bucket boundary
+			b := math.Ldexp(1, e)
+			xs = append(xs, b, math.Nextafter(b, 0), math.Nextafter(b, math.Inf(1)))
+		}
+		for _, x := range xs {
+			h := NewLog2Histogram(minExp, maxExp)
+			h.Add(x)
+			got := under
+			switch {
+			case h.Over() == 1:
+				got = over
+			case h.Under() == 0:
+				for i := 0; i < h.NumBuckets(); i++ {
+					if h.Bucket(i) == 1 {
+						got = i
+					}
+				}
+			}
+			if want := ilogbBucket(minExp, h.NumBuckets(), x); got != want {
+				t.Errorf("[2^%d, 2^%d): Add(%v) chose %d, Ilogb rule %d (under %d, over %d)",
+					minExp, maxExp, x, got, want, under, over)
+			}
+		}
+	}
 }
 
 // TestBatchMeansReserve pins Reserve's contract: results are identical
