@@ -22,6 +22,12 @@ import "fmt"
 // (paper Section II: the connection is broken after transmission while
 // the resource continues processing).
 //
+// A Grant is a plain value: a processor and a port are the whole of a
+// circuit, so no network keeps a per-grant record that a release must
+// recycle, and a decorator may copy or forward grants freely. The one
+// extra field, set only by Partitioned, points at the issuing
+// sub-network's record, which lives as long as the Partitioned system.
+//
 // Processor is the pid passed to the Acquire call that returned the
 // grant. Every successful Acquire must set it: sim.Run finds the
 // transmitting processor of a completed transmission through it, and
@@ -33,10 +39,10 @@ import "fmt"
 // too, where the returned Grant is otherwise zero. Networks that never
 // reject inside the network leave it 0.
 type Grant struct {
-	Processor int   // requesting processor (global index)
-	Port      int   // output port the request was routed to (global index)
-	Path      any   // network-private path bookkeeping; owned by the issuing Network
-	Rejects   int64 // in-network rejects of the Acquire call
+	Processor int        // requesting processor (global index)
+	Port      int        // output port the request was routed to (global index)
+	Rejects   int64      // in-network rejects of the Acquire call
+	part      *partition // issuing sub-network of a Partitioned grant, else nil
 }
 
 // Network is a resource-sharing interconnection network supporting
@@ -89,6 +95,18 @@ type Telemetry struct {
 	Grants        int64 // successful Acquires
 }
 
+// Add accumulates o's counters into t: the telemetry of a system is the
+// sum of its independent sub-networks'.
+func (t *Telemetry) Add(o Telemetry) {
+	t.Attempts += o.Attempts
+	t.Failures += o.Failures
+	t.ResourceBlock += o.ResourceBlock
+	t.PathBlock += o.PathBlock
+	t.Rejects += o.Rejects
+	t.BoxVisits += o.BoxVisits
+	t.Grants += o.Grants
+}
+
 // TelemetrySource is implemented by networks that collect Telemetry.
 type TelemetrySource interface {
 	Telemetry() Telemetry
@@ -126,75 +144,88 @@ type DetailSource interface {
 	DetailCounters() []NamedCounter
 }
 
+// AppendSubCounters appends cs to out with every name prefixed by
+// sub-network sub's index ("sub03."), so that the counters of a
+// partitioned system, or of a sharded run's merge, keep per-partition
+// load imbalance visible.
+func AppendSubCounters(out []NamedCounter, sub int, cs []NamedCounter) []NamedCounter {
+	prefix := fmt.Sprintf("sub%02d.", sub)
+	for _, c := range cs {
+		out = append(out, NamedCounter{Name: prefix + c.Name, Value: c.Value})
+	}
+	return out
+}
+
 // Partitioned composes i independent sub-networks into one system, the
 // paper's p/i×j×k notation: processors are assigned to sub-networks in
 // contiguous blocks of j = p/i, and each sub-network owns its own output
 // ports and resources. Requests never cross partitions — exactly the
 // isolation that makes the paper's per-bus analysis of partitioned
 // systems exact.
+//
+// Each of its grants points at the record of the partition that issued
+// it. A release translates the global grant back into the
+// sub-network's local one by subtraction, and Peers reads the
+// partition's processor block from it.
 type Partitioned struct {
-	subs     []Network
+	parts    []partition
 	perSub   int // processors per sub-network
 	ports    int
 	resTotal int
 	name     string
+}
 
-	portBase []int // cumulative port offset of each partition
-	// grantPool recycles partGrant records so steady-state Acquire does
-	// not allocate. A record returns to the pool at ReleaseResource: the
-	// engine's task lifecycle releases the path at transmit end and the
-	// resource at service end, so the resource release is always the
-	// grant's final use.
-	grantPool []*partGrant
+// partition is one sub-network of a Partitioned system: the network,
+// its global processor block [lo, hi) and the global index of its
+// first port.
+type partition struct {
+	net      Network
+	lo, hi   int
+	portBase int
 }
 
 // NewPartitioned builds a partitioned system from identical
-// sub-networks. All sub-networks must have the same processor count.
+// sub-networks. All sub-networks must have the same processor count,
+// and none may itself be a Partitioned system: its grants' partition
+// would be hidden behind the outer one's.
 func NewPartitioned(subs []Network) *Partitioned {
 	if len(subs) == 0 {
 		panic("core: NewPartitioned requires at least one sub-network")
 	}
 	per := subs[0].Processors()
 	ports, res := 0, 0
-	portBase := make([]int, len(subs))
+	parts := make([]partition, len(subs))
 	for i, s := range subs {
 		if s.Processors() != per {
 			panic("core: sub-networks must have identical processor counts")
 		}
-		portBase[i] = ports
+		if _, nested := s.(*Partitioned); nested {
+			panic("core: a sub-network cannot itself be partitioned")
+		}
+		parts[i] = partition{net: s, lo: i * per, hi: (i + 1) * per, portBase: ports}
 		ports += s.Ports()
 		res += s.TotalResources()
 	}
 	return &Partitioned{
-		subs:     subs,
+		parts:    parts,
 		perSub:   per,
 		ports:    ports,
 		resTotal: res,
 		name:     fmt.Sprintf("%dx(%s)", len(subs), subs[0].Name()),
-		portBase: portBase,
 	}
-}
-
-// partGrant wraps a sub-network grant with its partition index and
-// the partition's global processor block [lo, hi).
-type partGrant struct {
-	sub, lo, hi int
-	inner       Grant
 }
 
 // Peers returns the processor block [lo, hi) of the sub-network that
 // issued g when g is a Partitioned grant: requests never cross
 // partitions, so releasing g can unblock only those processors. ok is
-// false for any other grant, meaning the whole network. Call it before
-// g's ReleaseResource, which recycles the record it reads.
+// false for any other grant, meaning the whole network.
 //
 //lint:hotpath read on every release
 func Peers(g Grant) (lo, hi int, ok bool) {
-	pg, ok := g.Path.(*partGrant)
-	if !ok {
+	if g.part == nil {
 		return 0, 0, false
 	}
-	return pg.lo, pg.hi, true
+	return g.part.lo, g.part.hi, true
 }
 
 // Acquire implements Network by delegating to pid's partition.
@@ -202,53 +233,38 @@ func Peers(g Grant) (lo, hi int, ok bool) {
 //lint:hotpath called once per allocation attempt in the event loop
 func (p *Partitioned) Acquire(pid int) (Grant, bool) {
 	sub := pid / p.perSub
-	if sub < 0 || sub >= len(p.subs) {
+	if sub < 0 || sub >= len(p.parts) {
 		panic(fmt.Sprintf("core: processor %d outside partitioned system", pid))
 	}
-	g, ok := p.subs[sub].Acquire(pid % p.perSub)
+	part := &p.parts[sub]
+	g, ok := part.net.Acquire(pid - part.lo)
 	if !ok {
 		return Grant{Rejects: g.Rejects}, false
 	}
-	var pg *partGrant
-	if n := len(p.grantPool); n > 0 {
-		pg = p.grantPool[n-1]
-		p.grantPool = p.grantPool[:n-1]
-	} else {
-		//lint:ignore hotalloc cold-pool mint, amortized to zero once the pool warms; pinned by TestRunSteadyStateZeroAlloc
-		pg = new(partGrant)
-	}
-	pg.sub, pg.inner = sub, g
-	pg.lo = sub * p.perSub
-	pg.hi = pg.lo + p.perSub
-	return Grant{
-		Processor: pid,
-		Port:      p.portBase[sub] + g.Port,
-		Path:      pg,
-		Rejects:   g.Rejects,
-	}, true
+	return Grant{Processor: pid, Port: part.portBase + g.Port, Rejects: g.Rejects, part: part}, true
+}
+
+// local rebuilds from g the grant part's sub-network issued: the
+// processor and port relative to the partition, which is all a
+// sub-network reads on release.
+//
+//lint:hotpath
+func (part *partition) local(g Grant) Grant {
+	return Grant{Processor: g.Processor - part.lo, Port: g.Port - part.portBase}
 }
 
 // ReleasePath implements Network.
 //
 //lint:hotpath
-func (p *Partitioned) ReleasePath(g Grant) {
-	pg := g.Path.(*partGrant)
-	p.subs[pg.sub].ReleasePath(pg.inner)
-}
+func (p *Partitioned) ReleasePath(g Grant) { g.part.net.ReleasePath(g.part.local(g)) }
 
-// ReleaseResource implements Network. This is the grant's final use
-// (see grantPool), so the partGrant record is recycled here.
+// ReleaseResource implements Network.
 //
 //lint:hotpath
-func (p *Partitioned) ReleaseResource(g Grant) {
-	pg := g.Path.(*partGrant)
-	p.subs[pg.sub].ReleaseResource(pg.inner)
-	//lint:ignore hotalloc pool append reuses capacity after warm-up; pinned by TestRunSteadyStateZeroAlloc
-	p.grantPool = append(p.grantPool, pg)
-}
+func (p *Partitioned) ReleaseResource(g Grant) { g.part.net.ReleaseResource(g.part.local(g)) }
 
 // Processors implements Network.
-func (p *Partitioned) Processors() int { return p.perSub * len(p.subs) }
+func (p *Partitioned) Processors() int { return p.perSub * len(p.parts) }
 
 // Ports implements Network.
 func (p *Partitioned) Ports() int { return p.ports }
@@ -262,16 +278,9 @@ func (p *Partitioned) Name() string { return p.name }
 // Telemetry aggregates telemetry across partitions that expose it.
 func (p *Partitioned) Telemetry() Telemetry {
 	var t Telemetry
-	for _, s := range p.subs {
-		if ts, ok := s.(TelemetrySource); ok {
-			st := ts.Telemetry()
-			t.Attempts += st.Attempts
-			t.Failures += st.Failures
-			t.ResourceBlock += st.ResourceBlock
-			t.PathBlock += st.PathBlock
-			t.Rejects += st.Rejects
-			t.BoxVisits += st.BoxVisits
-			t.Grants += st.Grants
+	for _, part := range p.parts {
+		if ts, ok := part.net.(TelemetrySource); ok {
+			t.Add(ts.Telemetry())
 		}
 	}
 	return t
@@ -282,14 +291,9 @@ func (p *Partitioned) Telemetry() Telemetry {
 // imbalance stays visible.
 func (p *Partitioned) DetailCounters() []NamedCounter {
 	var out []NamedCounter
-	for i, s := range p.subs {
-		if ds, ok := s.(DetailSource); ok {
-			for _, c := range ds.DetailCounters() {
-				out = append(out, NamedCounter{
-					Name:  fmt.Sprintf("sub%02d.%s", i, c.Name),
-					Value: c.Value,
-				})
-			}
+	for i, part := range p.parts {
+		if ds, ok := part.net.(DetailSource); ok {
+			out = AppendSubCounters(out, i, ds.DetailCounters())
 		}
 	}
 	return out

@@ -89,6 +89,7 @@ func TestPartitionedPanics(t *testing.T) {
 		"empty":          func() { core.NewPartitioned(nil) },
 		"mismatched":     func() { core.NewPartitioned([]core.Network{bus.New(2, 1), bus.New(3, 1)}) },
 		"pid out of set": func() { newTwoBusSystem().Acquire(99) },
+		"nested":         func() { core.NewPartitioned([]core.Network{newTwoBusSystem(), newTwoBusSystem()}) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			defer func() {

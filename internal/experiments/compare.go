@@ -46,7 +46,7 @@ func FigCompare(ratio float64, rhos []float64, q Quality) (Figure, error) {
 	if err != nil {
 		return Figure{}, err
 	}
-	set, err := simSeriesSet(cfgs, muN, muS, rhos, q, 1)
+	set, err := simSeriesSet(cfgs, muN, rhoPoints(muN, muS, rhos), q, 1)
 	if err != nil {
 		return Figure{}, err
 	}

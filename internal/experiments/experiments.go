@@ -261,32 +261,36 @@ func (f Figure) FindSeries(label string) *Series {
 	return nil
 }
 
-// simSeries runs a simulation sweep of one configuration over the ρ
-// grid and returns its normalized-delay series. Points where the run
-// saturates are marked. It is the single-configuration form of
-// simSeriesSet and shares its seed-derivation scheme.
-func simSeries(cfg config.Config, muN, muS float64, rhos []float64, q Quality, series int) (Series, error) {
-	set, err := simSeriesSet([]config.Config{cfg}, muN, muS, rhos, q, series)
-	if err != nil {
-		return Series{}, err
-	}
-	return set[0], nil
+// sweepPoint is one abscissa of a simulated sweep: its x value, the
+// service rate μs and the per-processor arrival rate λ there.
+type sweepPoint struct {
+	x, muS, lambda float64
 }
 
-// simSeriesSet sweeps several configurations over the same ρ grid as
+// rhoPoints lays out a sweep over the ρ grid at fixed μn and μs: x is
+// ρ, and λ is the per-processor rate that loads the plant to ρ.
+func rhoPoints(muN, muS float64, rhos []float64) []sweepPoint {
+	pts := make([]sweepPoint, len(rhos))
+	for i, w := range workload.Sweep(PlantProcessors, muN, muS, PlantResources, rhos) {
+		pts[i] = sweepPoint{x: w.Rho, muS: muS, lambda: w.Lambda}
+	}
+	return pts
+}
+
+// simSeriesSet sweeps several configurations over the same points as
 // one flattened (configuration × point × replication) job set on the
 // parallel runner, so the points of every curve fill the worker pool
-// together. Each job's simulation stream is seeded from
-// runner.DeriveSeed — per-series base, per-point, per-rep — fixing the
-// historical bug where every point of every curve reused the identical
-// base seed (fully correlated streams). Results are collected by
-// index: identical output for any worker count.
+// together, and returns their normalized-delay series. Points where
+// the run saturates are marked. Each job's simulation stream is seeded
+// from runner.DeriveSeed — per-series base, per-point, per-rep —
+// fixing the historical bug where every point of every curve reused
+// the identical base seed (fully correlated streams). Results are
+// collected by index: identical output for any worker count.
 //
 // firstSeries is the series index of cfgs[0] within the enclosing
 // figure; it keys the per-series seed derivation, so a series keeps
 // its exact stream whether swept alone or as part of a set.
-func simSeriesSet(cfgs []config.Config, muN, muS float64, rhos []float64, q Quality, firstSeries int) ([]Series, error) {
-	pts := workload.Sweep(PlantProcessors, muN, muS, PlantResources, rhos)
+func simSeriesSet(cfgs []config.Config, muN float64, pts []sweepPoint, q Quality, firstSeries int) ([]Series, error) {
 	reps := q.reps()
 	perCfg := len(pts) * reps
 	type cell struct {
@@ -297,7 +301,7 @@ func simSeriesSet(cfgs []config.Config, muN, muS float64, rhos []float64, q Qual
 		c, rem := j/perCfg, j%perCfg
 		i, rep := rem/reps, rem%reps
 		base := runner.DeriveSeed(q.Seed, firstSeries+c, 0)
-		p, err := simPoint(cfgs[c], muN, muS, pts[i].Rho, pts[i].Lambda, q, base, i, rep)
+		p, err := simPoint(cfgs[c], muN, pts[i].muS, pts[i].x, pts[i].lambda, q, base, i, rep)
 		return cell{p: p, err: err}
 	})
 	for _, cl := range run {
@@ -412,7 +416,11 @@ func poolPoint(reps []Point) Point {
 // figures (series index 0).
 func Sweep(cfg config.Config, ratio float64, rhos []float64, q Quality) (Series, error) {
 	const muN = 1.0
-	return simSeries(cfg, muN, ratio*muN, rhos, q, 0)
+	set, err := simSeriesSet([]config.Config{cfg}, muN, rhoPoints(muN, ratio*muN, rhos), q, 0)
+	if err != nil {
+		return Series{}, err
+	}
+	return set[0], nil
 }
 
 // parseConfigs parses a curve set of configuration strings.

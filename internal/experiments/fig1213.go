@@ -36,7 +36,7 @@ func FigOmega(id string, ratio float64, rhos []float64, q Quality) (Figure, erro
 	if err != nil {
 		return Figure{}, err
 	}
-	fig.Series, err = simSeriesSet(cfgs, muN, muS, rhos, q, 0)
+	fig.Series, err = simSeriesSet(cfgs, muN, rhoPoints(muN, muS, rhos), q, 0)
 	if err != nil {
 		return Figure{}, err
 	}

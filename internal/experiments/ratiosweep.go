@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"rsin/internal/queueing"
-	"rsin/internal/runner"
 )
 
 // FigRatioSweep sweeps the decisive parameter of Section VI — the ratio
@@ -32,39 +31,13 @@ func FigRatioSweep(rho float64, ratios []float64, q Quality) (Figure, error) {
 	if err != nil {
 		return Figure{}, err
 	}
-	// Flatten (configuration × ratio × replication) into one runner job
-	// set with per-point derived seeds; collect by index.
-	reps := q.reps()
-	perCfg := len(ratios) * reps
-	type cell struct {
-		p   Point
-		err error
+	pts := make([]sweepPoint, len(ratios))
+	for i, r := range ratios {
+		muS := r * muN
+		pts[i] = sweepPoint{x: r, muS: muS, lambda: queueing.LambdaForIntensity(rho, PlantProcessors, muN, muS, PlantResources)}
 	}
-	run := runner.Map(q.opts(), len(configs)*perCfg, func(j int) cell {
-		c, rem := j/perCfg, j%perCfg
-		ri, rep := rem/reps, rem%reps
-		muS := ratios[ri] * muN
-		lambda := queueing.LambdaForIntensity(rho, PlantProcessors, muN, muS, PlantResources)
-		base := runner.DeriveSeed(q.Seed, c, 0)
-		p, err := simPoint(configs[c], muN, muS, ratios[ri], lambda, q, base, ri, rep)
-		return cell{p: p, err: err}
-	})
-	for _, cl := range run {
-		if cl.err != nil {
-			return Figure{}, cl.err
-		}
-	}
-	for c, cfg := range configs {
-		s := Series{Label: cfg.String()}
-		for ri := range ratios {
-			off := c*perCfg + ri*reps
-			group := make([]Point, reps)
-			for k := range group {
-				group[k] = run[off+k].p
-			}
-			s.Points = append(s.Points, poolPoint(group))
-		}
-		fig.Series = append(fig.Series, s)
+	if fig.Series, err = simSeriesSet(configs, muN, pts, q, 0); err != nil {
+		return Figure{}, err
 	}
 	fig.Notes = append(fig.Notes,
 		"Table II keys its recommendation on μs/μn: multistage while small, crossbar as it grows",

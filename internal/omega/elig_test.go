@@ -22,18 +22,6 @@ func recountElig(o *Omega) uint64 {
 	return m
 }
 
-func addTel(a, b core.Telemetry) core.Telemetry {
-	return core.Telemetry{
-		Attempts:      a.Attempts + b.Attempts,
-		Failures:      a.Failures + b.Failures,
-		ResourceBlock: a.ResourceBlock + b.ResourceBlock,
-		PathBlock:     a.PathBlock + b.PathBlock,
-		Rejects:       a.Rejects + b.Rejects,
-		BoxVisits:     a.BoxVisits + b.BoxVisits,
-		Grants:        a.Grants + b.Grants,
-	}
-}
-
 func telDelta(after, before core.Telemetry) core.Telemetry {
 	return core.Telemetry{
 		Attempts:      after.Attempts - before.Attempts,
@@ -274,9 +262,9 @@ func (w *eligWalk) acquire(i, pid int) {
 		return
 	}
 	w.okAcq++
-	if wires := circuitWires(o, g.Port); g.Port != want.port || g.Path != nil || !slices.Equal(wires, want.wires) {
-		w.t.Fatalf("step %d: Acquire(%d) took port %d over %v (path %v); reference port %d over %v",
-			i, pid, g.Port, wires, g.Path, want.port, want.wires)
+	if wires := circuitWires(o, g.Port); g != (core.Grant{Processor: pid, Port: want.port, Rejects: g.Rejects}) || !slices.Equal(wires, want.wires) {
+		w.t.Fatalf("step %d: Acquire(%d) returned %+v over %v; reference port %d over %v",
+			i, pid, g, wires, want.port, want.wires)
 	}
 	w.hold(heldGrant{g: g})
 }
@@ -293,7 +281,7 @@ func (w *eligWalk) batch(i int, pids []int) {
 	wantByStage := make([]int64, o.n)
 	for k, pid := range pids {
 		want[k] = ref.acquire(pid, snap)
-		wantTel = addTel(wantTel, want[k].tel())
+		wantTel.Add(want[k].tel())
 		for s, r := range want[k].byStage {
 			wantByStage[s] += r
 		}

@@ -19,16 +19,17 @@ import (
 // the network operates in conventional address-mapping mode — resource
 // accesses generalize address-mapped accesses (paper Section VII). This
 // equivalence is asserted in the tests.
+//
+// A typed grant is a plain core.Grant: the circuit lives at its port in
+// the untyped substrate, and the caller, which chose the type in
+// AcquireType, names it again in ReleaseResource.
 type TypedOmega struct {
 	net   *Omega // untyped substrate: wires, ports, occupancy
 	types int
 	// free[j][t]: free resources of type t behind port j.
 	free [][]int
 	cap  [][]int
-	// tgPool recycles the typed-grant records, so bound typed networks
-	// are allocation-free in steady state.
-	tgPool []*typedGrant
-	tel    core.Telemetry
+	tel  core.Telemetry
 }
 
 // NewTyped builds an N×N multistage RSIN whose output port j carries
@@ -82,34 +83,6 @@ func maxPool(pools [][]int) int {
 		}
 	}
 	return m
-}
-
-// typedGrant records the resource type a typed grant reserved; the
-// circuit itself lives in the substrate's per-port record.
-type typedGrant struct {
-	typ int
-}
-
-// takeTG pops a recycled typed-grant record, or mints one on a cold
-// pool.
-//
-//lint:hotpath
-func (to *TypedOmega) takeTG() *typedGrant {
-	if n := len(to.tgPool); n > 0 {
-		tg := to.tgPool[n-1]
-		to.tgPool = to.tgPool[:n-1]
-		return tg
-	}
-	//lint:ignore hotalloc cold-pool mint, amortized to zero once the pool warms; pinned by TestTypedAcquireZeroAlloc
-	return &typedGrant{}
-}
-
-// putTG returns a record to the pool.
-//
-//lint:hotpath
-func (to *TypedOmega) putTG(tg *typedGrant) {
-	//lint:ignore hotalloc pool append reuses capacity after warm-up; pinned by TestTypedAcquireZeroAlloc
-	to.tgPool = append(to.tgPool, tg)
 }
 
 // eligible reports whether port j can accept a request for type t.
@@ -170,9 +143,7 @@ func (to *TypedOmega) AcquireType(pid, t int) (core.Grant, bool) {
 	to.net.elig &^= 1 << uint(port)
 	to.free[port][t]--
 	to.tel.Grants++
-	tg := to.takeTG()
-	tg.typ = t
-	return core.Grant{Processor: pid, Port: port, Path: tg, Rejects: to.tel.Rejects - rejBefore}, true
+	return core.Grant{Processor: pid, Port: port, Rejects: to.tel.Rejects - rejBefore}, true
 }
 
 // ReleasePath frees the circuit; the typed resource keeps serving.
@@ -180,17 +151,15 @@ func (to *TypedOmega) AcquireType(pid, t int) (core.Grant, bool) {
 //lint:hotpath
 func (to *TypedOmega) ReleasePath(g core.Grant) { to.net.ReleasePath(g) }
 
-// ReleaseResource returns the typed resource to its pool. This is the
-// grant's final release, so the record recycles here.
+// ReleaseResource returns g's resource, of type t, to its port's pool
+// after service. t must be the type g was acquired for in AcquireType.
 //
 //lint:hotpath
-func (to *TypedOmega) ReleaseResource(g core.Grant) {
-	tg := g.Path.(*typedGrant)
-	if to.free[g.Port][tg.typ] >= to.cap[g.Port][tg.typ] {
+func (to *TypedOmega) ReleaseResource(g core.Grant, t int) {
+	if to.free[g.Port][t] >= to.cap[g.Port][t] {
 		panic("omega: typed ReleaseResource overflow")
 	}
-	to.free[g.Port][tg.typ]++
-	to.putTG(tg)
+	to.free[g.Port][t]++
 }
 
 // Processors returns the number of processor connections.
@@ -258,7 +227,7 @@ func (b *boundTyped) Acquire(pid int) (core.Grant, bool) {
 func (b *boundTyped) ReleasePath(g core.Grant) { b.to.ReleasePath(g) }
 
 //lint:hotpath
-func (b *boundTyped) ReleaseResource(g core.Grant) { b.to.ReleaseResource(g) }
+func (b *boundTyped) ReleaseResource(g core.Grant) { b.to.ReleaseResource(g, b.typeOf[g.Processor]) }
 func (b *boundTyped) Processors() int              { return b.to.Processors() }
 func (b *boundTyped) Ports() int                   { return b.to.Ports() }
 func (b *boundTyped) TotalResources() int          { return b.to.TotalResources() }

@@ -35,7 +35,7 @@ func TestTypedBasicLifecycle(t *testing.T) {
 		t.Error("type-0 pool touched")
 	}
 	to.ReleasePath(g)
-	to.ReleaseResource(g)
+	to.ReleaseResource(g, 1)
 	if to.FreeOfType(g.Port, 1) != 1 {
 		t.Error("type-1 pool not restored")
 	}
@@ -161,6 +161,12 @@ func TestTypedConstructionPanics(t *testing.T) {
 		"bad type":      func() { NewTyped(8, uniformPools(8, []int{1})).AcquireType(0, 5) },
 		"bad processor": func() { NewTyped(8, uniformPools(8, []int{1})).AcquireType(99, 0) },
 		"bind length":   func() { NewTyped(8, uniformPools(8, []int{1})).Bind([]int{0}) },
+		"release overflow": func() {
+			to := NewTyped(8, uniformPools(8, []int{1}))
+			g, _ := to.AcquireType(0, 0)
+			to.ReleaseResource(g, 0)
+			to.ReleaseResource(g, 0)
+		},
 	} {
 		t.Run(name, func(t *testing.T) {
 			defer func() {
@@ -212,7 +218,7 @@ func TestTypedConservation(t *testing.T) {
 					i := src.Intn(len(inSvc))
 					h := inSvc[i]
 					inSvc = append(inSvc[:i], inSvc[i+1:]...)
-					to.ReleaseResource(h.g)
+					to.ReleaseResource(h.g, h.t)
 				}
 			}
 		}

@@ -158,15 +158,11 @@ func BuildPlan(cfg Config) (Plan, error) {
 		groups[g] = [2]int{start, start + n}
 		start += n
 	}
-	portsPerSub := cfg.Net.Outputs
-	if cfg.Net.Type == config.SBUS {
-		portsPerSub = 1
-	}
 	pidOff := make([]int, subs)
 	portOff := make([]int, subs)
 	for s := range pidOff {
 		pidOff[s] = s * cfg.Net.Inputs
-		portOff[s] = s * portsPerSub
+		portOff[s] = s * cfg.Net.Outputs
 	}
 	return Plan{
 		Subs: subs,
@@ -307,20 +303,8 @@ func Merge(plan Plan, muS float64, results []sim.Result) (sim.Result, error) {
 		}
 		utilPorts += r.Utilization * float64(r.Accum.Ports)
 		ports += r.Accum.Ports
-		t := r.Telemetry
-		out.Telemetry.Attempts += t.Attempts
-		out.Telemetry.Failures += t.Failures
-		out.Telemetry.ResourceBlock += t.ResourceBlock
-		out.Telemetry.PathBlock += t.PathBlock
-		out.Telemetry.Rejects += t.Rejects
-		out.Telemetry.BoxVisits += t.BoxVisits
-		out.Telemetry.Grants += t.Grants
-		for _, c := range r.Details {
-			out.Details = append(out.Details, core.NamedCounter{
-				Name:  fmt.Sprintf("sub%02d.%s", s, c.Name),
-				Value: c.Value,
-			})
-		}
+		out.Telemetry.Add(r.Telemetry)
+		out.Details = core.AppendSubCounters(out.Details, s, r.Details)
 		out.Delays = append(out.Delays, r.Delays...)
 	}
 	out.Delay = delays.Interval(0.95)

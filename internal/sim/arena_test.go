@@ -213,12 +213,11 @@ func TestHotStructuresZeroAlloc(t *testing.T) {
 // Comparing a short and a 3× run of the same configuration cancels the
 // setup allocations (networks, tables, queues, result assembly) and
 // isolates the steady-state loop, which the arena + SoA + retained
-// capacity design makes allocation-free. Buses and crossbars grant
-// without per-grant path records; omega networks and the Partitioned
-// combinator recycle their grant records through pools (warmed within
-// the short run, so the differential cancels the mints too). The
-// CollectDelays row, on the XBAR network, pins recordDelay's append
-// into the sample buffer newKernel reserves.
+// capacity design makes allocation-free. No network keeps a per-grant
+// record: a grant is a plain value, and a Partitioned grant points at
+// its partition's record, built with the system. The CollectDelays
+// row, on the XBAR network, pins recordDelay's append into the sample
+// buffer newKernel reserves.
 func TestRunSteadyStateZeroAlloc(t *testing.T) {
 	invariant.Enable(false)
 	defer invariant.Enable(true)

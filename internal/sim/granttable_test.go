@@ -45,7 +45,7 @@ func TestGrantTableReusesFreedSlots(t *testing.T) {
 // attribution payload read zero until markTx and setAttr write them.
 func TestGrantTablePutClearsRecord(t *testing.T) {
 	gt := newGrantTable()
-	i := gt.put(core.Grant{Processor: 9, Port: 1, Path: "x"}, 3)
+	i := gt.put(core.Grant{Processor: 9, Port: 1, Rejects: 4}, 3)
 	gt.markTx(i, 4)
 	gt.setAttr(i, 7, 3.5, 1, 2)
 	gt.release(i)
@@ -59,9 +59,9 @@ func TestGrantTablePutClearsRecord(t *testing.T) {
 
 func TestGrantTableTakeClearsSlot(t *testing.T) {
 	gt := newGrantTable()
-	i := gt.put(core.Grant{Processor: 9, Port: 1, Path: "x"}, 3)
+	i := gt.put(core.Grant{Processor: 9, Port: 1, Rejects: 4}, 3)
 	gt.take(i)
-	if s := gt.slots[i]; s.g.Path != nil || s.g.Processor != 0 || s.arrived != 0 {
+	if s := gt.slots[i]; s != (grantSlot{}) {
 		t.Errorf("slot %d not cleared after take: %+v", i, s)
 	}
 }

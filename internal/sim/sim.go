@@ -512,8 +512,7 @@ func (k *kernel) wake(lo, hi int) {
 }
 
 // peers returns the processor block a release of g can unblock: g's
-// core.Peers range, or every processor. It must run before g's
-// ReleaseResource recycles the record core.Peers reads.
+// core.Peers range, or every processor.
 //
 //lint:hotpath
 func (k *kernel) peers(g core.Grant) (lo, hi int) {

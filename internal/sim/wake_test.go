@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"rsin/internal/bus"
@@ -11,6 +12,7 @@ import (
 	"rsin/internal/invariant"
 	"rsin/internal/obs"
 	"rsin/internal/omega"
+	"rsin/internal/queueing"
 	"rsin/internal/rng"
 )
 
@@ -296,5 +298,63 @@ func BenchmarkWakeEngines(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// forwardingNet forwards core.Network, core.TelemetrySource and
+// core.DetailSource to the network it wraps and nothing else, as a
+// decorator that times or counts a network's calls does. Its concrete
+// type hides the wrapped network's.
+type forwardingNet struct{ core.Network }
+
+func (f forwardingNet) Telemetry() core.Telemetry {
+	return f.Network.(core.TelemetrySource).Telemetry()
+}
+
+func (f forwardingNet) DetailCounters() []core.NamedCounter {
+	return f.Network.(core.DetailSource).DetailCounters()
+}
+
+// TestDecoratedPartitionKeepsWakeRange runs 64/4x16x16 OMEGA/1 and
+// XBAR/1 bare and inside forwardingNet and requires identical Results,
+// telemetry and detail counters included. The wake range rides on the
+// grant, which the decorator forwards untouched; a kernel that took the
+// range from the network's concrete type would wake every sub-network's
+// waiters behind the decorator and count more attempts.
+func TestDecoratedPartitionKeepsWakeRange(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		sub  func() core.Network
+	}{
+		{"OMEGA", func() core.Network { return omega.New(16, 1) }},
+		{"XBAR", func() core.Network { return crossbar.New(16, 16, 1) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			mk := func() core.Network {
+				subs := make([]core.Network, 4)
+				for i := range subs {
+					subs[i] = c.sub()
+				}
+				return core.NewPartitioned(subs)
+			}
+			cfg := Config{
+				Lambda: queueing.LambdaForIntensity(0.8, 64, 2, 1, 64),
+				MuN:    2, MuS: 1, Seed: 7, Warmup: 100, Samples: 20000,
+			}
+			bare, err := Run(mk(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wrapped, err := Run(forwardingNet{mk()}, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bare.Telemetry.Failures == 0 {
+				t.Fatal("no Acquire failed, so no release had waiters to wake")
+			}
+			if !reflect.DeepEqual(bare, wrapped) {
+				t.Errorf("decorated run diverged:\nbare    %+v\nwrapped %+v", bare.Telemetry, wrapped.Telemetry)
+			}
+		})
 	}
 }
